@@ -15,6 +15,15 @@ let check_invalid msg f =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
 
+(* [f ()] raises Invalid_argument whose message has [value] as a
+   space-separated word. *)
+let check_invalid_naming msg value f =
+  match f () with
+  | exception Invalid_argument text ->
+    if not (List.mem (string_of_int value) (String.split_on_char ' ' text)) then
+      Alcotest.failf "%s: %S does not name %d" msg text value
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" msg
+
 let qcheck = QCheck_alcotest.to_alcotest ~speed_level:`Quick
 
 (* ------------------------------------------------------------------ *)

@@ -100,6 +100,139 @@ let prop_at_assignment_brute_force =
       done;
       Sensitivity.at_assignment netlist bits = !brute)
 
+(* Ring of 3-input majorities over the window {k, k+1, k+3}: output k
+   is MAJ (x_k, x_(k+1), x_(k+3)), indices mod n. Flipping x_i changes
+   output k exactly when the window's other two bits differ, so the
+   sensitivity varies from assignment to assignment, pivotal inputs sit
+   on both sides of every 63-input chunk boundary, and the window is not
+   mirror-symmetric: reversing the order in which an assignment's bits
+   are drawn changes the results. *)
+let window = [ 0; 1; 3 ]
+
+let maj_ring n =
+  let module B = Nano_netlist.Netlist.Builder in
+  let b = B.create ~name:(Printf.sprintf "ring%d" n) () in
+  let xs = Array.init n (fun i -> B.input b (Printf.sprintf "x%d" i)) in
+  for k = 0 to n - 1 do
+    B.output b (Printf.sprintf "f%d" k)
+      (B.add b Nano_netlist.Gate.Majority
+         (List.map (fun d -> xs.((k + d) mod n)) window))
+  done;
+  B.finish b
+
+let ring_sensitivity bits =
+  let n = Array.length bits in
+  let x i = bits.(((i mod n) + n) mod n) in
+  let pivotal i =
+    List.exists
+      (fun d ->
+        match List.filter (( <> ) d) window with
+        | [ a; b ] -> x (i - d + a) <> x (i - d + b)
+        | _ -> assert false)
+      window
+  in
+  List.length (List.filter pivotal (List.init n Fun.id))
+
+let test_at_assignment_wide () =
+  (* One assignment spanning 1, 2, 2 and 3 chunk words. *)
+  List.iter
+    (fun n ->
+      let net = maj_ring n in
+      let rng = Nano_util.Prng.create ~seed:n in
+      for _ = 1 to 5 do
+        let bits = Array.init n (fun _ -> Nano_util.Prng.bool rng) in
+        Alcotest.(check int)
+          (Printf.sprintf "ring%d" n)
+          (ring_sensitivity bits)
+          (Sensitivity.at_assignment net bits)
+      done)
+    [ 63; 64; 100; 130 ]
+
+(* Maximum of at_assignment over [samples] assignments drawn the way
+   [sampled] documents: [n] bits per sample, in input order. *)
+let reference_sampled ~seed ~samples net =
+  let n = Nano_netlist.Netlist.input_count net in
+  let rng = Nano_util.Prng.create ~seed in
+  let best = ref 0 in
+  for _ = 1 to samples do
+    let bits = Array.init n (fun _ -> Nano_util.Prng.bool rng) in
+    best := max !best (Sensitivity.at_assignment net bits)
+  done;
+  !best
+
+let reference_exact net =
+  let n = Nano_netlist.Netlist.input_count net in
+  let best = ref 0 in
+  for a = 0 to (1 lsl n) - 1 do
+    let bits = Array.init n (fun i -> (a lsr i) land 1 = 1) in
+    best := max !best (Sensitivity.at_assignment net bits)
+  done;
+  !best
+
+(* The block width is the process-wide default: test/dune reruns this
+   suite with NANOBOUND_BLOCK_WIDTH set to 1 and 4, next to the default
+   run at 8. Fail loudly if the override did not take effect, so those
+   runs cannot silently repeat width 8. *)
+let block_width () =
+  let block = Nano_netlist.Compiled.default_block_width () in
+  (match Option.bind (Sys.getenv_opt "NANOBOUND_BLOCK_WIDTH") int_of_string_opt with
+  | Some b when b >= 1 && b <= 16 ->
+    Alcotest.(check int) "NANOBOUND_BLOCK_WIDTH in effect" b block
+  | _ -> ());
+  block
+
+let for_jobs f =
+  let block = block_width () in
+  List.iter (fun jobs -> f ~block ~jobs) [ 1; 2 ]
+
+let test_sampled_packed_matches_reference () =
+  (* 20 and 63 inputs fill one word; 64 and 100 span two, 130 spans
+     three. At width 1 every multi-word assignment straddles sweeps; at
+     widths 4 and 8 the 3-word ones do. Sample counts are not multiples
+     of the width, leaving a partial last sweep. *)
+  List.iter
+    (fun (n, samples) ->
+      let net = maj_ring n in
+      let seed = 1000 + n in
+      let expected = reference_sampled ~seed ~samples net in
+      for_jobs (fun ~block ~jobs ->
+          Alcotest.(check int)
+            (Printf.sprintf "ring%d samples=%d block=%d jobs=%d" n samples block jobs)
+            expected
+            (Sensitivity.sampled ~seed ~samples ~jobs net)))
+    [ (63, 13); (64, 37); (100, 13); (100, 9); (130, 11); (20, 37) ]
+
+let test_exact_packed_matches_reference () =
+  let nets =
+    maj_ring 7
+    :: List.map
+         (fun (seed, inputs) ->
+           Helpers.random_netlist ~seed ~inputs ~gates:(3 * inputs) ())
+         [ (1, 1); (2, 2); (3, 3); (4, 5); (5, 9) ]
+  in
+  List.iter
+    (fun net ->
+      let expected = reference_exact net in
+      for_jobs (fun ~block ~jobs ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s block=%d jobs=%d"
+               (Nano_netlist.Netlist.name net) block jobs)
+            (Some expected)
+            (Sensitivity.exact ~jobs net)))
+    nets
+
+let test_exact_rejects_overflowing_max_inputs () =
+  let net = Trees.parity_tree ~inputs:4 ~fanin:2 in
+  List.iter
+    (fun max_inputs ->
+      Helpers.check_invalid_naming
+        (Printf.sprintf "max_inputs %d" max_inputs)
+        max_inputs
+        (fun () -> Sensitivity.exact ~max_inputs net))
+    [ 62; 63; 64; max_int ];
+  Alcotest.(check (option int)) "61 still accepted" (Some 4)
+    (Sensitivity.exact ~max_inputs:61 net)
+
 let suite =
   [
     Alcotest.test_case "parity full sensitivity" `Quick
@@ -111,6 +244,13 @@ let suite =
     Alcotest.test_case "wide inputs chunking" `Quick test_wide_inputs_chunking;
     Alcotest.test_case "jobs deterministic" `Quick test_jobs_deterministic;
     Alcotest.test_case "jobs exact partition" `Quick test_jobs_exact_partition;
+    Alcotest.test_case "at_assignment wide" `Quick test_at_assignment_wide;
+    Alcotest.test_case "sampled packed = reference" `Quick
+      test_sampled_packed_matches_reference;
+    Alcotest.test_case "exact packed = reference" `Quick
+      test_exact_packed_matches_reference;
+    Alcotest.test_case "exact rejects overflowing max_inputs" `Quick
+      test_exact_rejects_overflowing_max_inputs;
     Helpers.qcheck prop_sampled_le_exact;
     Helpers.qcheck prop_at_assignment_brute_force;
   ]
