@@ -9,27 +9,24 @@
    Results are bit-identical for every N — only wall-clock changes.
    --scaling-only skips the figures and Bechamel and prints just the
    domain-scaling table (for CI smoke runs). --engines-only prints just
-   the interp-vs-compiled throughput table and records it to
-   BENCH_pr2.json. --service-only prints just the evaluation-service
+   the kernel table — the interpretive reference vs the blocked
+   wide-word kernel across input densities, with bit-identity and
+   jobs-identity checks — and records it to BENCH_pr2.json;
+   [--block-width N] overrides the blocked kernel's words-per-gate-visit
+   width for that run. --service-only prints just the evaluation-service
    cold-vs-warm analyze latency table and records it to BENCH_pr3.json.
-   --grids-only prints just the batched epsilon-grid vs per-point
-   sweep table and records it to BENCH_pr4.json. --load-only runs the
-   TCP service load generator ([--clients N] concurrent connections,
-   [--requests M] closed-loop requests each) against an inline and a
-   sharded daemon, prints p50/p99 latency and throughput, and records
-   them to BENCH_pr6.json. It forks server processes, so it runs
-   before anything spawns a domain. --kernel-only prints just the
-   blocked wide-word kernel vs word-at-a-time compiled engine table
-   and records it to BENCH_pr7.json; [--block-width N] overrides the
-   blocked engine's words-per-gate-visit width for that run.
-   --tech-only prints just the technology-pack absolute-energy report
-   table (both built-in packs over the mapped suite circuits) plus the
-   service analyze-with-tech cold-vs-warm cache identity, and records
-   them to BENCH_pr8.json. --stimulus-only prints the biased-stimulus
-   (p <> 1/2 input density, SIMD stimulus kernel) and heterogeneous
-   epsilon-grid (fused per-gate sweep vs per-config passes) tables and
-   records them, with the resolved SIMD dispatch level, to
-   BENCH_pr9.json; [--block-width N] applies as for --kernel-only.
+   --grids-only prints the batched epsilon-grid vs per-point sweep
+   table and the heterogeneous voter sweep (fused per-gate grid vs
+   per-config passes) and records them to BENCH_pr4.json;
+   [--block-width N] applies to the heterogeneous sweep. --load-only
+   runs the TCP service load generator ([--clients N] concurrent
+   connections, [--requests M] closed-loop requests each) against an
+   inline and a sharded daemon, prints p50/p99 latency and throughput,
+   and records them to BENCH_pr6.json. It forks server processes, so it
+   runs before anything spawns a domain. --tech-only prints just the
+   technology-pack absolute-energy report table (both built-in packs
+   over the mapped suite circuits) plus the service analyze-with-tech
+   cold-vs-warm cache identity, and records them to BENCH_pr8.json.
    --static-only prints the static-bounds-vs-Monte-Carlo soundness and
    latency table (per-output interval containment, >= 100x speedup
    over a cold 4096-vector simulation) and records it to
@@ -61,11 +58,7 @@ let grids_only = Array.exists (( = ) "--grids-only") Sys.argv
 
 let load_only = Array.exists (( = ) "--load-only") Sys.argv
 
-let kernel_only = Array.exists (( = ) "--kernel-only") Sys.argv
-
 let tech_only = Array.exists (( = ) "--tech-only") Sys.argv
-
-let stimulus_only = Array.exists (( = ) "--stimulus-only") Sys.argv
 
 let static_only = Array.exists (( = ) "--static-only") Sys.argv
 
@@ -82,8 +75,9 @@ let load_clients = int_flag "--clients" 1000
 
 let load_requests = int_flag "--requests" 20
 
-(* 0 means "use the engine default" (NANOBOUND_BLOCK_WIDTH or 8). *)
-let bench_block_width = int_flag "--block-width" 0
+(* Absent means "use the engine default" (NANOBOUND_BLOCK_WIDTH or 8). *)
+let bench_block =
+  match int_flag "--block-width" 0 with 0 -> None | b -> Some b
 
 let print_series ~title ~x_label ~y_label series =
   let data =
@@ -654,113 +648,41 @@ let print_parallel_scaling () =
        ~rows)
 
 (* ------------------------------------------------------------------ *)
-(* Interp vs compiled simulation kernels.                               *)
+(* Interp vs blocked simulation kernels.                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Word throughput of [Noisy_sim] under both evaluation engines. The
-   engines are bit-identical by construction (and the table re-checks
-   it), so this isolates what the compiled kernel buys: the same
-   Monte-Carlo answer, measured here in 64-vector words per second. *)
+(* The kernel table: the same Monte-Carlo job under the interpretive
+   reference ([`Interp], a walk over [Netlist.iter] / [Gate.eval_word])
+   and the blocked wide-word kernel ([`Compiled]: block_width words per
+   gate visit, fused eval/inject/counter sweep over cache-blocked
+   levels). At input density 1/2 each input word is one raw draw; at
+   0.1 and 0.9 the blocked side draws stimulus through the SIMD stub
+   while the interpreter keeps its pure-OCaml loop, so those rows also
+   pin the stub to the reference. Each row re-checks the full result
+   record against [`Interp] and a jobs=4 blocked run against jobs=1.
+   Rows are (circuit, input densities, vectors): rand50k is deep enough
+   that the level-aligned cache segments engage, and runs at p = 1/2
+   with fewer vectors to bound the interpreter's cost. *)
 let engine_circuits () =
-  [
-    ("c17", Nano_circuits.Iscas_like.c17 ());
-    ( "rca8",
-      Nano_synth.Script.rugged_lite (Nano_circuits.Adders.ripple_carry ~width:8)
-    );
-    ("parity16", Nano_circuits.Trees.parity_tree ~inputs:16 ~fanin:2);
-  ]
-
-let print_engine_throughput () =
-  let vectors = 1 lsl 16 in
-  let epsilon = 0.01 in
-  let words = vectors / 64 in
-  let measure engine circuit =
-    (* One short run to warm the compile cache and code paths. *)
-    ignore
-      (Nano_faults.Noisy_sim.simulate ~vectors:1024 ~engine ~epsilon circuit);
-    let sim, t =
-      time (fun () ->
-          Nano_faults.Noisy_sim.simulate ~vectors ~engine ~epsilon circuit)
-    in
-    (sim.Nano_faults.Noisy_sim.any_output_error, float_of_int words /. t)
-  in
-  let entries =
-    List.map
-      (fun (name, circuit) ->
-        let delta_i, interp = measure `Interp circuit in
-        let delta_c, compiled = measure `Compiled circuit in
-        (name, interp, compiled, compiled /. interp, delta_i = delta_c))
-      (engine_circuits ())
-  in
-  Printf.printf
-    "== Engine throughput: interpretive vs compiled Noisy_sim kernel (%d \
-     vectors, eps=%g) ==\n"
-    vectors epsilon;
-  print_string
-    (Report.Table.render
-       ~header:
-         [
-           "circuit"; "interp words/s"; "compiled words/s"; "speedup";
-           "bit-identical";
-         ]
-       ~rows:
-         (List.map
-            (fun (name, interp, compiled, speedup, same) ->
-              [
-                name;
-                Printf.sprintf "%.0f" interp;
-                Printf.sprintf "%.0f" compiled;
-                Printf.sprintf "%.2fx" speedup;
-                string_of_bool same;
-              ])
-            entries));
-  (* Machine-readable record of the same table, for tracking the
-     speedup across revisions. *)
-  let oc = open_out "BENCH_pr2.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"noisy_sim interp-vs-compiled\",\n  \"vectors\": \
-     %d,\n  \"epsilon\": %g,\n  \"circuits\": [\n"
-    vectors epsilon;
-  List.iteri
-    (fun i (name, interp, compiled, speedup, same) ->
-      Printf.fprintf oc
-        "    {\"circuit\": \"%s\", \"interp_words_per_sec\": %.1f, \
-         \"compiled_words_per_sec\": %.1f, \"speedup\": %.2f, \
-         \"bit_identical\": %b}%s\n"
-        name interp compiled speedup same
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  print_string "(written to BENCH_pr2.json)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Blocked wide-word kernel vs word-at-a-time compiled engine.          *)
-(* ------------------------------------------------------------------ *)
-
-(* The PR 7 kernel benchmark: same Monte-Carlo job, `CompiledWords (the
-   previous compiled engine, one 64-bit word per gate visit) against
-   `Compiled (blocked wide-word kernel: block_width words per visit,
-   fused eval/inject/counter sweep over cache-blocked levels). The
-   engines are bit-identical by construction; each row re-checks the
-   full result record against the word-at-a-time engine and against a
-   jobs=4 blocked run. *)
-let kernel_circuits () =
   let suite name =
     match Nano_circuits.Suite.find name with
     | Some entry ->
       Nano_synth.Script.rugged_lite (entry.Nano_circuits.Suite.build ())
-    | None -> failwith ("kernel bench: unknown suite circuit " ^ name)
+    | None -> failwith ("engines bench: unknown suite circuit " ^ name)
   in
+  let densities = [ 0.5; 0.1; 0.9 ] in
   [
-    ("c17", Nano_circuits.Iscas_like.c17 ());
+    ("c17", Nano_circuits.Iscas_like.c17 (), densities, 1 lsl 16);
     ( "rca8",
-      Nano_synth.Script.rugged_lite (Nano_circuits.Adders.ripple_carry ~width:8)
-    );
-    ("mult8", suite "mult8");
-    ("alu8", suite "alu8");
-    (* Synthetic ~50k-gate levelized netlist: deep enough that the
-       cache-blocked level segments actually engage. *)
+      Nano_synth.Script.rugged_lite (Nano_circuits.Adders.ripple_carry ~width:8),
+      densities,
+      1 lsl 16 );
+    ( "parity16",
+      Nano_circuits.Trees.parity_tree ~inputs:16 ~fanin:2,
+      densities,
+      1 lsl 16 );
+    ("mult8", suite "mult8", densities, 1 lsl 14);
+    ("alu8", suite "alu8", densities, 1 lsl 14);
     ( "rand50k",
       Nano_circuits.Random_circuit.generate
         ~config:
@@ -771,282 +693,95 @@ let kernel_circuits () =
             allow_majority = true;
             max_fanin = 3;
           }
-        ~seed:0x50c4 () );
+        ~seed:0x50c4 (),
+      [ 0.5 ],
+      1 lsl 10 );
   ]
 
-let print_kernel_throughput () =
+let print_engine_throughput () =
   let epsilon = 0.01 in
-  let vectors = 1 lsl 16 in
-  let words = vectors / 64 in
-  let block = if bench_block_width > 0 then Some bench_block_width else None in
-  let effective_block =
-    match block with
-    | Some b -> b
-    | None -> Nano_netlist.Compiled.default_block_width ()
-  in
-  let measure ?block engine circuit =
-    (* One short run to warm the compile cache and code paths. *)
-    ignore
-      (Nano_faults.Noisy_sim.simulate ~vectors:1024 ?block ~engine ~epsilon
-         circuit);
-    let sim, t =
-      time (fun () ->
-          Nano_faults.Noisy_sim.simulate ~vectors ?block ~engine ~epsilon
-            circuit)
-    in
-    (sim, float_of_int words /. t)
-  in
-  let entries =
-    List.map
-      (fun (name, circuit) ->
-        let sim_w, words_rate = measure `CompiledWords circuit in
-        let sim_b, blocked_rate = measure ?block `Compiled circuit in
-        let sim_j =
-          Nano_faults.Noisy_sim.simulate ~vectors ~jobs:4 ?block
-            ~engine:`Compiled ~epsilon circuit
-        in
-        ( name,
-          words_rate,
-          blocked_rate,
-          blocked_rate /. words_rate,
-          sim_b = sim_w,
-          sim_j = sim_b ))
-      (kernel_circuits ())
-  in
-  Printf.printf
-    "== Kernel throughput: word-at-a-time vs blocked compiled engine (%d \
-     vectors, eps=%g, block=%d) ==\n"
-    vectors epsilon effective_block;
-  print_string
-    (Report.Table.render
-       ~header:
-         [
-           "circuit"; "word-at-a-time words/s"; "blocked words/s"; "speedup";
-           "bit-identical"; "jobs-identical";
-         ]
-       ~rows:
-         (List.map
-            (fun (name, wr, br, speedup, same, same_jobs) ->
-              [
-                name;
-                Printf.sprintf "%.0f" wr;
-                Printf.sprintf "%.0f" br;
-                Printf.sprintf "%.2fx" speedup;
-                string_of_bool same;
-                string_of_bool same_jobs;
-              ])
-            entries));
-  let oc = open_out "BENCH_pr7.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"noisy_sim blocked-vs-word-at-a-time\",\n  \
-     \"vectors\": %d,\n  \"epsilon\": %g,\n  \"block_width\": %d,\n  \
-     \"circuits\": [\n"
-    vectors epsilon effective_block;
-  List.iteri
-    (fun i (name, wr, br, speedup, same, same_jobs) ->
-      Printf.fprintf oc
-        "    {\"circuit\": \"%s\", \"words_engine_words_per_sec\": %.1f, \
-         \"blocked_words_per_sec\": %.1f, \"speedup\": %.2f, \
-         \"bit_identical\": %b, \"jobs_identical\": %b}%s\n"
-        name wr br speedup same same_jobs
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  print_string "(written to BENCH_pr7.json)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Stimulus path + heterogeneous grid: the PR 9 kernels.                *)
-(* ------------------------------------------------------------------ *)
-
-(* Two series. The biased-stimulus series reruns the kernel comparison
-   at non-uniform input densities, where the word-at-a-time engine burns
-   a 64-iteration scalar mix loop per input word while the blocked
-   engine now draws stimulus through the SIMD C stub — shallow circuits
-   (c17) are dominated by input generation, so this isolates the
-   stimulus kernel. The heterogeneous series runs the selective-
-   hardening voter trade study both ways: one simulate_heterogeneous
-   pass per voter class (the old way) vs a single fused
-   profile_grid_heterogeneous sweep with common random numbers; each
-   lane of the fused pass must reproduce its per-config run exactly. *)
-let stimulus_circuits () =
-  let suite name =
-    match Nano_circuits.Suite.find name with
-    | Some entry ->
-      Nano_synth.Script.rugged_lite (entry.Nano_circuits.Suite.build ())
-    | None -> failwith ("stimulus bench: unknown suite circuit " ^ name)
-  in
-  [
-    ("c17", Nano_circuits.Iscas_like.c17 ());
-    ( "rca8",
-      Nano_synth.Script.rugged_lite (Nano_circuits.Adders.ripple_carry ~width:8)
-    );
-    ("mult8", suite "mult8");
-  ]
-
-let print_stimulus_throughput () =
-  let epsilon = 0.01 in
-  let vectors = 1 lsl 16 in
-  let words = vectors / 64 in
-  let block = if bench_block_width > 0 then Some bench_block_width else None in
+  let block = bench_block in
   let effective_block =
     match block with
     | Some b -> b
     | None -> Nano_netlist.Compiled.default_block_width ()
   in
   let simd = Nano_util.Prng.simd_level () in
-  let measure ?block ~p engine circuit =
-    ignore
-      (Nano_faults.Noisy_sim.simulate ~vectors:1024 ~input_probability:p ?block
-         ~engine ~epsilon circuit);
-    let sim, t =
-      time (fun () ->
-          Nano_faults.Noisy_sim.simulate ~vectors ~input_probability:p ?block
-            ~engine ~epsilon circuit)
-    in
-    (sim, float_of_int words /. t)
+  let simulate ?jobs ~vectors ~p engine circuit =
+    Nano_faults.Noisy_sim.simulate ~vectors ~input_probability:p ?jobs ?block
+      ~engine ~epsilon circuit
   in
-  let stim_entries =
+  let measure ~vectors ~p engine circuit =
+    (* One short run to warm the compile cache and code paths. *)
+    ignore (simulate ~vectors:64 ~p engine circuit);
+    let sim, t = time (fun () -> simulate ~vectors ~p engine circuit) in
+    (sim, float_of_int (vectors / 64) /. t)
+  in
+  let entries =
     List.concat_map
-      (fun (name, circuit) ->
+      (fun (name, circuit, densities, vectors) ->
         List.map
           (fun p ->
-            let sim_w, words_rate = measure ~p `CompiledWords circuit in
-            let sim_b, blocked_rate = measure ~p ?block `Compiled circuit in
-            let sim_j =
-              Nano_faults.Noisy_sim.simulate ~vectors ~input_probability:p
-                ~jobs:4 ?block ~engine:`Compiled ~epsilon circuit
-            in
+            let sim_i, interp = measure ~vectors ~p `Interp circuit in
+            let sim_b, blocked = measure ~vectors ~p `Compiled circuit in
+            let sim_j = simulate ~jobs:4 ~vectors ~p `Compiled circuit in
             ( name,
               p,
-              words_rate,
-              blocked_rate,
-              blocked_rate /. words_rate,
-              sim_b = sim_w,
+              vectors,
+              interp,
+              blocked,
+              blocked /. interp,
+              sim_b = sim_i,
               sim_j = sim_b ))
-          [ 0.5; 0.1; 0.9 ])
-      (stimulus_circuits ())
+          densities)
+      (engine_circuits ())
   in
   Printf.printf
-    "== Stimulus throughput: word-at-a-time vs blocked engine across input \
-     densities (%d vectors, eps=%g, block=%d, simd=%s) ==\n"
-    vectors epsilon effective_block simd;
+    "== Engine throughput: interpretive vs blocked Noisy_sim kernel (eps=%g, \
+     block=%d, simd=%s) ==\n"
+    epsilon effective_block simd;
   print_string
     (Report.Table.render
        ~header:
          [
-           "circuit"; "p(in)"; "word-at-a-time words/s"; "blocked words/s";
+           "circuit"; "p(in)"; "vectors"; "interp words/s"; "blocked words/s";
            "speedup"; "bit-identical"; "jobs-identical";
          ]
        ~rows:
          (List.map
-            (fun (name, p, wr, br, speedup, same, same_jobs) ->
+            (fun (name, p, vectors, ir, br, speedup, same, same_jobs) ->
               [
                 name;
                 Printf.sprintf "%g" p;
-                Printf.sprintf "%.0f" wr;
+                string_of_int vectors;
+                Printf.sprintf "%.0f" ir;
                 Printf.sprintf "%.0f" br;
                 Printf.sprintf "%.2fx" speedup;
                 string_of_bool same;
                 string_of_bool same_jobs;
               ])
-            stim_entries));
-  (* Heterogeneous voter sweep: [lanes] voter classes, one fused pass. *)
-  let voter_epsilons = Array.init 8 (fun i -> 0.0005 *. float_of_int (i + 1)) in
-  let lanes = Array.length voter_epsilons in
-  let gate_epsilon = 0.01 in
-  let hetero_entries =
-    List.filter_map
-      (fun (name, circuit) ->
-        if name = "mult8" then None
-        else
-          Some
-            (let hardened =
-               Nano_redundancy.Selective.harden_top ~seed:0x9e7e ~fraction:0.25
-                 circuit
-             in
-             let sweep ?jobs ?vectors () =
-               Nano_redundancy.Selective.sweep_voter_epsilons ?jobs ?vectors
-                 ?block hardened ~gate_epsilon ~voter_epsilons
-             in
-             let per_config ?(vectors = vectors) () =
-               Array.map
-                 (fun voter_epsilon ->
-                   Nano_faults.Noisy_sim.simulate_heterogeneous ~vectors ?block
-                     ~epsilon_of:
-                       (Nano_redundancy.Selective.voter_epsilon_of hardened
-                          ~gate_epsilon ~voter_epsilon)
-                     hardened.Nano_redundancy.Selective.netlist)
-                 voter_epsilons
-             in
-             ignore (sweep ~vectors:1024 ());
-             ignore (per_config ~vectors:1024 ());
-             let base, tb = time (fun () -> per_config ()) in
-             let fused, tf = time (fun () -> sweep ~vectors ()) in
-             let fused_j = sweep ~vectors ~jobs:4 () in
-             ( name,
-               float_of_int (lanes * words) /. tb,
-               float_of_int (lanes * words) /. tf,
-               tb /. tf,
-               fused = base,
-               fused_j = fused )))
-      (stimulus_circuits ())
-  in
-  Printf.printf
-    "\n== Heterogeneous epsilon sweep: per-config passes vs fused grid (%d \
-     voter classes, %d vectors, gate eps=%g) ==\n"
-    lanes vectors gate_epsilon;
-  print_string
-    (Report.Table.render
-       ~header:
-         [
-           "circuit"; "per-config lane-words/s"; "fused lane-words/s";
-           "speedup"; "bit-identical"; "jobs-identical";
-         ]
-       ~rows:
-         (List.map
-            (fun (name, br, fr, speedup, same, same_jobs) ->
-              [
-                name;
-                Printf.sprintf "%.0f" br;
-                Printf.sprintf "%.0f" fr;
-                Printf.sprintf "%.2fx" speedup;
-                string_of_bool same;
-                string_of_bool same_jobs;
-              ])
-            hetero_entries));
-  let oc = open_out "BENCH_pr9.json" in
+            entries));
+  (* Machine-readable record of the same table, for tracking the
+     speedup across revisions. *)
+  let oc = open_out "BENCH_pr2.json" in
   Printf.fprintf oc
-    "{\n  \"benchmark\": \"stimulus + heterogeneous grid kernels\",\n  \
-     \"vectors\": %d,\n  \"epsilon\": %g,\n  \"block_width\": %d,\n  \
-     \"simd_level\": \"%s\",\n  \"stimulus\": [\n"
-    vectors epsilon effective_block simd;
+    "{\n  \"benchmark\": \"noisy_sim interp-vs-blocked\",\n  \"epsilon\": \
+     %g,\n  \"block_width\": %d,\n  \"simd_level\": \"%s\",\n  \
+     \"circuits\": [\n"
+    epsilon effective_block simd;
   List.iteri
-    (fun i (name, p, wr, br, speedup, same, same_jobs) ->
+    (fun i (name, p, vectors, ir, br, speedup, same, same_jobs) ->
       Printf.fprintf oc
-        "    {\"circuit\": \"%s\", \"input_probability\": %g, \
-         \"words_engine_words_per_sec\": %.1f, \"blocked_words_per_sec\": \
-         %.1f, \"speedup\": %.2f, \"bit_identical\": %b, \"jobs_identical\": \
-         %b}%s\n"
-        name p wr br speedup same same_jobs
-        (if i = List.length stim_entries - 1 then "" else ","))
-    stim_entries;
-  Printf.fprintf oc
-    "  ],\n  \"heterogeneous\": {\n    \"voter_classes\": %d,\n    \
-     \"gate_epsilon\": %g,\n    \"circuits\": [\n"
-    lanes gate_epsilon;
-  List.iteri
-    (fun i (name, br, fr, speedup, same, same_jobs) ->
-      Printf.fprintf oc
-        "      {\"circuit\": \"%s\", \"per_config_lane_words_per_sec\": %.1f, \
-         \"fused_lane_words_per_sec\": %.1f, \"speedup\": %.2f, \
-         \"bit_identical\": %b, \"jobs_identical\": %b}%s\n"
-        name br fr speedup same same_jobs
-        (if i = List.length hetero_entries - 1 then "" else ","))
-    hetero_entries;
-  Printf.fprintf oc "    ]\n  }\n}\n";
+        "    {\"circuit\": \"%s\", \"input_probability\": %g, \"vectors\": \
+         %d, \"interp_words_per_sec\": %.1f, \"blocked_words_per_sec\": \
+         %.1f, \"speedup\": %.2f, \"bit_identical\": %b, \
+         \"jobs_identical\": %b}%s\n"
+        name p vectors ir br speedup same same_jobs
+        (if i = List.length entries - 1 then "" else ","))
+    entries;
+  Printf.fprintf oc "  ]\n}\n";
   close_out oc;
-  print_string "(written to BENCH_pr9.json)\n"
+  print_string "(written to BENCH_pr2.json)\n"
 
 (* ------------------------------------------------------------------ *)
 (* Static analysis vs Monte Carlo: the PR 10 soundness/latency table.   *)
@@ -1492,6 +1227,82 @@ let grid_json_smoke () =
   in
   (List.length batched, encode batched = encode per_point)
 
+(* Heterogeneous voter sweep: the selective-hardening voter trade study
+   run both ways — one simulate_heterogeneous pass per voter class vs a
+   single fused profile_grid_heterogeneous sweep with common random
+   numbers; each lane of the fused pass must reproduce its per-config
+   run exactly. Prints its table and returns the voter classes, the gate
+   epsilon and the rows. *)
+let print_heterogeneous_sweep ~vectors =
+  let words = vectors / 64 in
+  let block = bench_block in
+  let voter_epsilons = Array.init 8 (fun i -> 0.0005 *. float_of_int (i + 1)) in
+  let lanes = Array.length voter_epsilons in
+  let gate_epsilon = 0.01 in
+  let entries =
+    List.map
+      (fun (name, circuit) ->
+        let hardened =
+          Nano_redundancy.Selective.harden_top ~seed:0x9e7e ~fraction:0.25
+            circuit
+        in
+        let sweep ?jobs ?vectors () =
+          Nano_redundancy.Selective.sweep_voter_epsilons ?jobs ?vectors ?block
+            hardened ~gate_epsilon ~voter_epsilons
+        in
+        let per_config ?(vectors = vectors) () =
+          Array.map
+            (fun voter_epsilon ->
+              Nano_faults.Noisy_sim.simulate_heterogeneous ~vectors ?block
+                ~epsilon_of:
+                  (Nano_redundancy.Selective.voter_epsilon_of hardened
+                     ~gate_epsilon ~voter_epsilon)
+                hardened.Nano_redundancy.Selective.netlist)
+            voter_epsilons
+        in
+        ignore (sweep ~vectors:1024 ());
+        ignore (per_config ~vectors:1024 ());
+        let base, tb = time (fun () -> per_config ()) in
+        let fused, tf = time (fun () -> sweep ~vectors ()) in
+        let fused_j = sweep ~vectors ~jobs:4 () in
+        ( name,
+          float_of_int (lanes * words) /. tb,
+          float_of_int (lanes * words) /. tf,
+          tb /. tf,
+          fused = base,
+          fused_j = fused ))
+      [
+        ("c17", Nano_circuits.Iscas_like.c17 ());
+        ( "rca8",
+          Nano_synth.Script.rugged_lite
+            (Nano_circuits.Adders.ripple_carry ~width:8) );
+      ]
+  in
+  Printf.printf
+    "\n== Heterogeneous epsilon sweep: per-config passes vs fused grid (%d \
+     voter classes, %d vectors, gate eps=%g) ==\n"
+    lanes vectors gate_epsilon;
+  print_string
+    (Report.Table.render
+       ~header:
+         [
+           "circuit"; "per-config lane-words/s"; "fused lane-words/s";
+           "speedup"; "bit-identical"; "jobs-identical";
+         ]
+       ~rows:
+         (List.map
+            (fun (name, br, fr, speedup, same, same_jobs) ->
+              [
+                name;
+                Printf.sprintf "%.0f" br;
+                Printf.sprintf "%.0f" fr;
+                Printf.sprintf "%.2fx" speedup;
+                string_of_bool same;
+                string_of_bool same_jobs;
+              ])
+            entries));
+  (lanes, gate_epsilon, entries)
+
 let print_grid_throughput () =
   let vectors = 1 lsl 16 in
   let seed = 42 in
@@ -1526,6 +1337,9 @@ let print_grid_throughput () =
     "3x3 measured grid (c17): %d rows, batched-vs-per-point JSON identical = \
      %b\n"
     smoke_rows smoke_identical;
+  let voter_classes, gate_epsilon, hetero_entries =
+    print_heterogeneous_sweep ~vectors
+  in
   let oc = open_out "BENCH_pr4.json" in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"noisy_sim batched epsilon-grid vs per-point\",\n\
@@ -1541,8 +1355,20 @@ let print_grid_throughput () =
         (if i = List.length entries - 1 then "" else ","))
     entries;
   Printf.fprintf oc
-    "  ],\n  \"grid_smoke\": {\"rows\": %d, \"json_identical\": %b}\n}\n"
-    smoke_rows smoke_identical;
+    "  ],\n  \"grid_smoke\": {\"rows\": %d, \"json_identical\": %b},\n  \
+     \"heterogeneous\": {\n    \"voter_classes\": %d,\n    \
+     \"gate_epsilon\": %g,\n    \"circuits\": [\n"
+    smoke_rows smoke_identical voter_classes gate_epsilon;
+  List.iteri
+    (fun i (name, br, fr, speedup, same, same_jobs) ->
+      Printf.fprintf oc
+        "      {\"circuit\": \"%s\", \"per_config_lane_words_per_sec\": %.1f, \
+         \"fused_lane_words_per_sec\": %.1f, \"speedup\": %.2f, \
+         \"bit_identical\": %b, \"jobs_identical\": %b}%s\n"
+        name br fr speedup same same_jobs
+        (if i = List.length hetero_entries - 1 then "" else ","))
+    hetero_entries;
+  Printf.fprintf oc "    ]\n  }\n}\n";
   close_out oc;
   print_string "(written to BENCH_pr4.json)\n"
 
@@ -1985,12 +1811,6 @@ let () =
     exit 0);
   if engines_only then (
     print_engine_throughput ();
-    exit 0);
-  if kernel_only then (
-    print_kernel_throughput ();
-    exit 0);
-  if stimulus_only then (
-    print_stimulus_throughput ();
     exit 0);
   if static_only then (
     print_static_analysis ();

@@ -6,19 +6,18 @@
     buffers are assumed error-free, matching the paper's device model
     where interconnect errors are lumped into device errors. *)
 
-type engine = [ `Compiled | `CompiledWords | `Interp ]
+type engine = [ `Compiled | `Interp ]
 (** Which evaluation kernel runs the Monte-Carlo word loop. [`Compiled]
     (the default) lowers the netlist once through
     {!Nano_netlist.Compiled} and runs the BLOCKED wide-word kernel:
     blocks of [block_width] words per gate visit with evaluation, noise
     injection and counter accumulation fused into one level-ordered
-    sweep ({!Nano_netlist.Compiled.run_noisy_words}). [`CompiledWords]
-    is the word-at-a-time compiled interpreter it replaced;
-    [`Interp] retains the historical walk over [Netlist.iter] /
-    [Gate.eval_word]. All three consume the PRNG stream in exactly the
-    same per-word order and produce bit-identical results — the slower
-    engines survive as independent references for differential tests
-    and the benchmark series. *)
+    sweep ({!Nano_netlist.Compiled.run_noisy_words}). [`Interp] is the
+    historical walk over [Netlist.iter] / [Gate.eval_word]. Both consume
+    the PRNG stream in exactly the same per-word order and produce
+    bit-identical results; [`Interp] survives as the independent
+    reference for differential tests and the benchmark's engine
+    table. *)
 
 type result = {
   epsilon : float;
@@ -47,7 +46,8 @@ val simulate :
   epsilon:float ->
   Nano_netlist.Netlist.t ->
   result
-(** [vectors] (default 8192) is rounded up to a multiple of 64.
+(** [vectors] (default 8192) is rounded up to a multiple of 64; it must
+    be at least 1, otherwise [Invalid_argument] names the value.
 
     [jobs] (default 1) shards the vector words across that many domains
     via {!Nano_util.Par}. Sharding is seed-stable: each shard jumps the
@@ -108,7 +108,7 @@ val profile_grid :
     an entire ε-grid: the circuit is compiled once, each 64-vector word
     is executed once per lane from the SAME input draw, and every noisy
     gate draws ONE shared 64-uniform noise word thinned against the
-    packed per-lane thresholds ({!Nano_netlist.Compiled.exec_noisy_words_batch}).
+    packed per-lane thresholds ({!Nano_netlist.Compiled.run_noisy_grid_words}).
     Lanes are therefore coupled by common random numbers — grid
     differences have collapsed variance — and each ε ≠ 1/2 lane is
     bit-identical to the per-point {!simulate} at the same seed.

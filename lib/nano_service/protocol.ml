@@ -231,6 +231,12 @@ let request_of_json obj =
            these and get the old analytic-only analysis. *)
         let* measure = field_default Json.to_bool obj "measure" false in
         let* vectors = field_default Json.to_int obj "vectors" 4096 in
+        let* () =
+          if vectors >= 1 then Ok ()
+          else
+            Error
+              (Printf.sprintf "field \"vectors\" must be >= 1, got %d" vectors)
+        in
         (* Absent for pre-tech clients, whose replies (and cache keys)
            stay byte-identical to the previous protocol revision. *)
         let* tech = tech_of_json obj in

@@ -41,7 +41,8 @@ type request =
               simulation pass. Decodes as [false] when absent, so old
               clients are unaffected. *)
       vectors : int;
-          (** Monte-Carlo budget for [measure] (default 4096). *)
+          (** Monte-Carlo budget for [measure] (default 4096); a value
+              below 1 is a decode error naming the field. *)
       tech : tech_spec option;
           (** When present, the reply also carries a ["tech"] block —
               {!Nano_tech.Report.to_json}'s absolute energy/area/delay

@@ -862,7 +862,6 @@ let serve_listening t listen_fd =
     s.status <- "503 Service Unavailable";
     s.body <- Some Protocol.overloaded_reply
   in
-  let digest_memo : (string, string) Hashtbl.t = Hashtbl.create 16 in
   let shard_key_of_line line =
     match Json.parse line with
     | Error _ -> `Key line
@@ -870,27 +869,12 @@ let serve_listening t listen_fd =
       match Json.member "kind" json with
       | Some (Json.String "shutdown") -> `Shutdown
       | _ -> (
+        (* A named circuit routes by its name and a BLIF payload by an
+           MD5 of its text: the same request always reaches the same
+           worker cache. A name and a BLIF spelling of the same circuit
+           may land on different workers. *)
         match (Json.member "circuit" json, Json.member "blif" json) with
-        | Some (Json.String name), _ ->
-          (* Route named circuits by strash digest so that a circuit
-             and its BLIF spelling land on the same worker cache. *)
-          let d =
-            match Hashtbl.find_opt digest_memo name with
-            | Some d -> d
-            | None ->
-              let d =
-                match Nano_circuits.Suite.find name with
-                | Some entry -> (
-                  try
-                    Nano_synth.Strash.digest
-                      (entry.Nano_circuits.Suite.build ())
-                  with _ -> name)
-                | None -> name
-              in
-              Hashtbl.add digest_memo name d;
-              d
-          in
-          `Key d
+        | Some (Json.String name), _ -> `Key name
         | _, Some (Json.String text) -> `Key (Digest.string text)
         | _ -> `Key line))
   in

@@ -28,20 +28,54 @@ let test_structure () =
     (Compiled.input_ids c);
   Alcotest.(check (array int)) "output ids" (Netlist.output_ids n)
     (Compiled.output_ids c);
+  (* A noisy gate consumes 64 draws per word, or 1 at epsilon = 1/2; a
+     quiet node consumes none. Moving one node to 1/2 therefore shows
+     whether the lowering flagged it noisy. *)
+  let all_noisy = 64 * Compiled.noisy_count c in
   Netlist.iter n (fun id info ->
       let noisy =
         match info.Netlist.kind with
         | Gate.Input | Gate.Const _ | Gate.Buf -> false
         | _ -> true
       in
-      Alcotest.(check bool)
+      let eps = Array.make (Compiled.node_count c) 0.01 in
+      eps.(id) <- 0.5;
+      Alcotest.(check int)
         (Printf.sprintf "noisy flag of node %d" id)
-        noisy (Compiled.is_noisy c id))
+        (if noisy then all_noisy - 63 else all_noisy)
+        (Compiled.noise_draws_per_word (Compiled.pack_noise c eps)))
+
+(* (block width, words evaluated): width 1, a full block of 8, and a
+   ragged 5-word pass through an 8-word block. *)
+let blocked_layouts = [ (1, 1); (8, 8); (8, 5) ]
+
+(* Evaluate [n] with the blocked executor over [width] words of a
+   [block]-wide program; [words.(j).(i)] is word [j] of input [i].
+   Returns the word reader. Words at or past [width] must stay
+   untouched, so the reader rejects any that were written. *)
+let exec_blocked ~block ~width n words =
+  let c = Compiled.of_netlist ~block n in
+  let values = Compiled.create_values_blocked c in
+  let inputs = Compiled.input_ids c in
+  for j = 0 to width - 1 do
+    Array.iteri
+      (fun i id -> Compiled.set_word_blocked c ~values ~id ~word:j words.(j).(i))
+      inputs
+  done;
+  Compiled.exec_words_blocked c ~width ~values;
+  for id = 0 to Compiled.node_count c - 1 do
+    for j = width to block - 1 do
+      if Compiled.get_word_blocked c ~values ~id ~word:j <> 0L then
+        Alcotest.failf "block %d width %d: node %d word %d written" block
+          width id j
+    done
+  done;
+  fun ~id ~word -> Compiled.get_word_blocked c ~values ~id ~word
 
 (* Every logic kind at every interesting arity gets its own one-gate
-   netlist; the compiled result must equal [Gate.eval_word] on random
-   words. This pins each opcode — including the [_n] fallbacks — to the
-   reference semantics. *)
+   netlist; the blocked result must equal [Gate.eval_word] on random
+   words at every layout. This pins each opcode — including the [_n]
+   fallbacks and [maj_n] — to the reference semantics. *)
 let test_each_opcode () =
   let rng = Prng.create ~seed:0xc0de in
   List.iter
@@ -61,24 +95,29 @@ let test_each_opcode () =
           in
           Netlist.Builder.output b "y" (Netlist.Builder.add b kind xs);
           let n = Netlist.Builder.finish b in
-          let c = Compiled.of_netlist n in
-          let values = Compiled.create_values c in
-          for _ = 1 to 16 do
-            let words = Array.init arity (fun _ -> Prng.bits64 rng) in
-            Compiled.set_input_words c ~values words;
-            Compiled.exec_words c ~values;
-            let got = Compiled.get_word values (Compiled.output_ids c).(0) in
-            Alcotest.(check int64)
-              (Printf.sprintf "%s/%d" (Gate.name kind) arity)
-              (Gate.eval_word kind words)
-              got
-          done)
+          let y = (Netlist.output_ids n).(0) in
+          List.iter
+            (fun (block, width) ->
+              for _ = 1 to 4 do
+                let words =
+                  Array.init width (fun _ ->
+                      Array.init arity (fun _ -> Prng.bits64 rng))
+                in
+                let get = exec_blocked ~block ~width n words in
+                for j = 0 to width - 1 do
+                  Alcotest.(check int64)
+                    (Printf.sprintf "%s/%d block %d word %d" (Gate.name kind)
+                       arity block j)
+                    (Gate.eval_word kind words.(j))
+                    (get ~id:y ~word:j)
+                done
+              done)
+            blocked_layouts)
         arities)
     (Gate.Buf :: Gate.all_logic_kinds)
 
-(* Randomized circuits over the full primitive mix: every lane of the
-   compiled word evaluation must match the scalar single-vector
-   reference. *)
+(* Randomized circuits over the full primitive mix: every lane of every
+   blocked word must match the scalar single-vector reference. *)
 let test_matches_scalar_on_random_circuits () =
   let rng = Prng.create ~seed:0xab1e in
   for seed = 1 to 8 do
@@ -92,24 +131,29 @@ let test_matches_scalar_on_random_circuits () =
       }
     in
     let n = Random_circuit.generate ~config ~seed () in
-    let c = Compiled.of_netlist n in
     let n_in = Netlist.input_count n in
-    let values = Compiled.create_values c in
-    let words = Array.init n_in (fun _ -> Prng.bits64 rng) in
-    Compiled.set_input_words c ~values words;
-    Compiled.exec_words c ~values;
-    for lane = 0 to 63 do
-      let bits =
-        Array.init n_in (fun i -> Nano_util.Bits.get words.(i) lane)
-      in
-      let scalar = Netlist.eval_nodes n bits in
-      for id = 0 to Netlist.node_count n - 1 do
-        if Nano_util.Bits.get (Compiled.get_word values id) lane <> scalar.(id)
-        then
-          Alcotest.failf "seed %d: node %d lane %d disagrees with eval_nodes"
-            seed id lane
-      done
-    done
+    List.iter
+      (fun (block, width) ->
+        let words =
+          Array.init width (fun _ -> Array.init n_in (fun _ -> Prng.bits64 rng))
+        in
+        let get = exec_blocked ~block ~width n words in
+        for j = 0 to width - 1 do
+          for lane = 0 to 63 do
+            let bits =
+              Array.init n_in (fun i -> Nano_util.Bits.get words.(j).(i) lane)
+            in
+            let scalar = Netlist.eval_nodes n bits in
+            for id = 0 to Netlist.node_count n - 1 do
+              if Nano_util.Bits.get (get ~id ~word:j) lane <> scalar.(id) then
+                Alcotest.failf
+                  "seed %d block %d word %d: node %d lane %d disagrees with \
+                   eval_nodes"
+                  seed block j id lane
+            done
+          done
+        done)
+      blocked_layouts
   done
 
 (* ------------------------------------------------------------------ *)
@@ -191,63 +235,15 @@ let test_engines_agree_heterogeneous () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Allocation.                                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The acceptance bar for the compiled kernel: once buffers exist, the
-   per-word simulation loop — input draws, clean and noisy evaluation,
-   counter updates — allocates nothing on the minor heap. Only
-   meaningful under the native-code compiler; bytecode boxes
-   everything. *)
-let test_zero_allocation () =
-  match Sys.backend_type with
-  | Sys.Bytecode | Sys.Other _ -> ()
-  | Sys.Native ->
-    let n = Nano_circuits.Adders.ripple_carry ~width:8 in
-    let c = Compiled.of_netlist n in
-    let rng = Prng.create ~seed:7 in
-    let epsilons =
-      Compiled.pack_epsilons c (Array.make (Compiled.node_count c) 0.02)
-    in
-    let golden = Compiled.create_values c in
-    let noisy = Compiled.create_values c in
-    let count = Compiled.node_count c in
-    let ones = Array.make count 0 in
-    let toggles = Array.make count 0 in
-    let out_errors = Array.make (Array.length (Compiled.output_ids c)) 0 in
-    let any = ref 0 in
-    let loop words =
-      for _ = 1 to words do
-        Compiled.draw_input_words c rng ~input_probability:0.3 ~values:golden;
-        Compiled.exec_words c ~values:golden;
-        Compiled.copy_input_words c ~src:golden ~dst:noisy;
-        Compiled.exec_noisy_words c ~epsilons ~rng ~values:noisy;
-        Compiled.add_ones_counts c ~values:noisy ~into:ones;
-        Compiled.add_toggle_counts c ~a:golden ~b:noisy ~into:toggles;
-        any :=
-          !any
-          + Compiled.add_output_error_counts c ~golden ~noisy ~into:out_errors
-      done
-    in
-    (* Warm-up triggers any one-time lazy initialization. *)
-    loop 2;
-    let before = Gc.minor_words () in
-    loop 64;
-    let allocated = Gc.minor_words () -. before in
-    if allocated <> 0. then
-      Alcotest.failf "per-word loop allocated %.0f minor words over 64 words"
-        allocated
-
-(* ------------------------------------------------------------------ *)
 (* Blocked engine.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The blocked engine must reproduce the word-at-a-time compiled engine
-   (the PR 2 kernel, still shipped as [`CompiledWords]) bit for bit at
-   every block width — including width 1, ragged tails (word counts not
-   a multiple of the block) and every job count. 320 vectors = 5 words
-   (ragged at widths 4 and 8); 1088 vectors = 17 words (two full
-   8-blocks plus a tail of one). *)
+(* The blocked engine must reproduce the interpretive reference bit for
+   bit at every block width — including width 1, ragged tails (word
+   counts not a multiple of the block), biased input densities (the
+   stimulus stub) and every job count. 320 vectors = 5 words (ragged at
+   widths 4 and 8); 1088 vectors = 17 words (two full 8-blocks plus a
+   tail of one). *)
 let test_blocked_bit_identity () =
   let circuits =
     [
@@ -270,27 +266,62 @@ let test_blocked_bit_identity () =
       List.iter
         (fun vectors ->
           List.iter
-            (fun epsilon ->
+            (fun (epsilon, input_probability) ->
               let reference =
-                Noisy_sim.simulate ~vectors ~engine:`CompiledWords ~epsilon n
+                Noisy_sim.simulate ~vectors ~input_probability ~engine:`Interp
+                  ~epsilon n
               in
               List.iter
                 (fun block ->
                   List.iter
                     (fun jobs ->
                       let blocked =
-                        Noisy_sim.simulate ~vectors ~jobs ~engine:`Compiled
-                          ~block ~epsilon n
+                        Noisy_sim.simulate ~vectors ~input_probability ~jobs
+                          ~engine:`Compiled ~block ~epsilon n
                       in
                       check_results_equal
-                        (Printf.sprintf "%s v=%d eps=%g block=%d jobs=%d" name
-                           vectors epsilon block jobs)
+                        (Printf.sprintf "%s v=%d eps=%g p=%g block=%d jobs=%d"
+                           name vectors epsilon input_probability block jobs)
                         reference blocked)
                     [ 1; 4 ])
                 [ 1; 4; 8 ])
-            [ 0.02; 0.5 ])
+            [ (0.02, 0.5); (0.02, 0.1); (0.5, 0.5); (0.5, 0.1) ])
         [ 320; 1088 ])
     circuits
+
+(* A netlist large enough that the lowering splits it into several
+   level-aligned cache segments (192 KiB budget; roughly 80 bytes per
+   2-input gate at width 1 and 250 at width 8, so 10 000 gates make
+   about four segments at width 1 and a dozen at width 8): the fused
+   kernel must stay bit-identical to the interpretive reference across
+   segment boundaries, at both widths and under sharding. 640 vectors
+   = 10 words, a ragged tail at width 8. *)
+let test_multi_segment_vs_interp () =
+  let n =
+    Random_circuit.generate
+      ~config:
+        {
+          Random_circuit.inputs = 32;
+          gates = 10_000;
+          outputs = 16;
+          allow_majority = true;
+          max_fanin = 3;
+        }
+      ~seed:0x5e9 ()
+  in
+  let vectors = 640 and epsilon = 0.01 in
+  let reference = Noisy_sim.simulate ~vectors ~engine:`Interp ~epsilon n in
+  List.iter
+    (fun block ->
+      List.iter
+        (fun jobs ->
+          check_results_equal
+            (Printf.sprintf "rand10k block=%d jobs=%d" block jobs)
+            reference
+            (Noisy_sim.simulate ~vectors ~jobs ~engine:`Compiled ~block
+               ~epsilon n))
+        [ 1; 2 ])
+    [ 1; 8 ]
 
 (* The memo is keyed by (netlist, block_width): mixed-width callers get
    distinct cached programs, and the width registry reports every width
@@ -323,9 +354,6 @@ let test_pack_validation_messages () =
     Alcotest.check_raises name (Invalid_argument expected) (fun () ->
         ignore (f ()))
   in
-  check "pack_epsilons_batch names the lane"
-    "Compiled.pack_epsilons_batch: lane 2: epsilon must lie in [0, 1/2]"
-    (fun () -> Compiled.pack_epsilons_batch c [| 0.1; 0.2; 0.7 |]);
   check "pack_grid names the lane and value"
     "Compiled.pack_grid: lane 1 (every gate): epsilon 0.9 must lie in [0, 1/2]"
     (fun () -> Compiled.pack_grid c [| 0.1; 0.9 |]);
@@ -408,10 +436,10 @@ let suite =
     Alcotest.test_case "engines agree (homogeneous)" `Quick test_engines_agree;
     Alcotest.test_case "engines agree (heterogeneous)" `Quick
       test_engines_agree_heterogeneous;
-    Alcotest.test_case "inner loop allocates nothing" `Quick
-      test_zero_allocation;
     Alcotest.test_case "blocked engine bit-identical at widths 1/4/8" `Quick
       test_blocked_bit_identity;
+    Alcotest.test_case "multi-segment netlist matches interp" `Quick
+      test_multi_segment_vs_interp;
     Alcotest.test_case "memo keyed by (netlist, block width)" `Quick
       test_memo_block_width_keyed;
     Alcotest.test_case "pack validation names lane/node" `Quick

@@ -141,6 +141,38 @@ let test_jobs_invalid () =
   Helpers.check_invalid "jobs=0 rejected" (fun () ->
       ignore (Noisy_sim.simulate ~jobs:0 ~epsilon:0.01 (suite_circuit "c17")))
 
+(* Zero vectors would make every rate 0/0 and a negative count used to
+   escape as a Math_ext exception: every Monte-Carlo entry point rejects
+   both, naming the value. *)
+let test_vectors_invalid () =
+  let n = suite_circuit "c17" in
+  List.iter
+    (fun vectors ->
+      let check name f =
+        Helpers.check_invalid_naming
+          (Printf.sprintf "%s vectors=%d" name vectors)
+          vectors
+          (fun () -> ignore (f ()))
+      in
+      check "simulate" (fun () -> Noisy_sim.simulate ~vectors ~epsilon:0.01 n);
+      check "simulate interp" (fun () ->
+          Noisy_sim.simulate ~vectors ~engine:`Interp ~epsilon:0.01 n);
+      check "simulate_heterogeneous" (fun () ->
+          Noisy_sim.simulate_heterogeneous ~vectors
+            ~epsilon_of:(fun _ -> 0.01)
+            n);
+      check "profile_grid" (fun () ->
+          Noisy_sim.profile_grid ~vectors ~epsilons:[| 0.01; 0.02 |] n);
+      check "profile_grid empty" (fun () ->
+          Noisy_sim.profile_grid ~vectors ~epsilons:[||] n);
+      check "profile_grid_heterogeneous" (fun () ->
+          Noisy_sim.profile_grid_heterogeneous ~vectors
+            ~epsilon_of_lanes:[| (fun _ -> 0.01) |]
+            n);
+      check "Criticality.analyze" (fun () ->
+          Nano_faults.Criticality.analyze ~vectors n))
+    [ 0; -64 ]
+
 let test_coin_flip_limit () =
   (* At eps = 1/2 every gate output is uniform noise: a single-gate
      output is wrong half of the time. *)
@@ -180,6 +212,7 @@ let suite =
     Alcotest.test_case "jobs identical fields" `Quick test_jobs_identical_fields;
     Alcotest.test_case "jobs heterogeneous" `Quick test_jobs_heterogeneous;
     Alcotest.test_case "jobs invalid" `Quick test_jobs_invalid;
+    Alcotest.test_case "vectors below 1 rejected" `Quick test_vectors_invalid;
     Alcotest.test_case "coin flip limit" `Quick test_coin_flip_limit;
     Helpers.qcheck prop_any_error_dominates_each_output;
   ]

@@ -367,8 +367,8 @@ let test_memo_stats () =
 (* Allocation.                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Same bar as the per-point kernel: once the lane buffers and packed
-   thresholds exist, the batched per-word loop allocates nothing on the
+(* Same bar as the per-point kernel: once the pack, the lane buffers and
+   the counters exist, the fused grid sweep allocates nothing on the
    minor heap. Native-code only; bytecode boxes everything. *)
 let test_zero_allocation_batch () =
   match Sys.backend_type with
@@ -377,21 +377,23 @@ let test_zero_allocation_batch () =
     let n = rca8 () in
     let c = Compiled.of_netlist n in
     let rng = Prng.create ~seed:7 in
-    let lanes = 4 in
-    let thresholds =
-      Compiled.pack_epsilons_batch c [| 0.001; 0.01; 0.05; 0.1 |]
-    in
-    let golden = Compiled.create_values c in
-    let values = Array.init lanes (fun _ -> Compiled.create_values c) in
+    let grid = Compiled.pack_grid c [| 0.001; 0.01; 0.05; 0.1 |] in
+    let lanes = Compiled.grid_lanes grid in
+    let count = Compiled.node_count c in
+    let out_n = Array.length (Compiled.output_ids c) in
+    let blocked () = Compiled.create_values_blocked c in
+    let golden_a = blocked () and golden_b = blocked () in
+    let na = Array.init lanes (fun _ -> blocked ()) in
+    let nb = Array.init lanes (fun _ -> blocked ()) in
+    let ones0 = Array.make count 0 and toggles0 = Array.make count 0 in
+    let ones = Array.init lanes (fun _ -> Array.make count 0) in
+    let toggles = Array.init lanes (fun _ -> Array.make count 0) in
+    let out_errors = Array.init lanes (fun _ -> Array.make out_n 0) in
+    let any = Array.make lanes 0 in
     let loop words =
-      for _ = 1 to words do
-        Compiled.draw_input_words c rng ~input_probability:0.5 ~values:golden;
-        Compiled.exec_words c ~values:golden;
-        for k = 0 to lanes - 1 do
-          Compiled.copy_input_words c ~src:golden ~dst:values.(k)
-        done;
-        Compiled.exec_noisy_words_batch c ~thresholds ~lanes ~rng ~values
-      done
+      Compiled.run_noisy_grid_words c ~grid ~rng ~input_probability:0.3
+        ~words ~need0:true ~golden_a ~golden_b ~na ~nb ~ones0 ~toggles0 ~ones
+        ~toggles ~out_errors ~any
     in
     loop 2;
     let before = Gc.minor_words () in
@@ -399,8 +401,7 @@ let test_zero_allocation_batch () =
     let allocated = Gc.minor_words () -. before in
     if allocated <> 0. then
       Alcotest.failf
-        "batched per-word loop allocated %.0f minor words over 64 words"
-        allocated
+        "fused grid loop allocated %.0f minor words over 64 words" allocated
 
 let suite =
   [

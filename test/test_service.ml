@@ -155,6 +155,9 @@ let test_protocol_rejects () =
   reject "missing kind" {|{"circuit":"c17"}|};
   reject "both circuit and blif" {|{"kind":"profile","circuit":"a","blif":"b"}|};
   reject "wrong type" {|{"kind":"analyze","circuit":"c17","delta":"x"}|};
+  reject "zero vectors" {|{"kind":"analyze","circuit":"c17","vectors":0}|};
+  reject "negative vectors"
+    {|{"kind":"analyze","circuit":"c17","measure":true,"vectors":-64}|};
   reject "non-object" {|[1,2]|}
 
 (* ------------------------------------------------------------------ *)
@@ -286,7 +289,23 @@ let test_structured_errors () =
     (Printf.sprintf {|{"kind":"profile","blif":"%s"}|}
        (String.make 8192 'x'));
   check "timeout" "timeout"
-    {|{"kind":"analyze","circuit":"rca8","timeout_ms":0}|}
+    {|{"kind":"analyze","circuit":"rca8","timeout_ms":0}|};
+  check "zero vectors" "bad_request"
+    {|{"kind":"analyze","circuit":"c17","measure":true,"vectors":0}|};
+  let message =
+    match
+      Json.parse
+        (Service.handle_line t
+           {|{"kind":"analyze","circuit":"c17","measure":true,"vectors":0}|})
+    with
+    | Ok v ->
+      Option.bind (Json.member "error" v) (fun e ->
+          Option.bind (Json.member "message" e) Json.to_string_opt)
+    | Error _ -> None
+  in
+  Alcotest.(check (option string))
+    "zero vectors message" (Some "field \"vectors\" must be >= 1, got 0")
+    message
 
 let test_static_request () =
   let t = make_service () in
