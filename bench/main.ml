@@ -13,17 +13,15 @@
    wide-word kernel across input densities, with bit-identity and
    jobs-identity checks — and records it to BENCH_pr2.json;
    [--block-width N] overrides the blocked kernel's words-per-gate-visit
-   width for that run. --service-only prints just the evaluation-service
-   cold-vs-warm analyze latency table and records it to BENCH_pr3.json.
-   --grids-only prints the batched epsilon-grid vs per-point sweep
+   width for that run. --grids-only prints the batched epsilon-grid vs per-point sweep
    table and the heterogeneous voter sweep (fused per-gate grid vs
    per-config passes) and records them to BENCH_pr4.json;
    [--block-width N] applies to the heterogeneous sweep. --load-only
    runs the TCP service load generator ([--clients N] concurrent
-   connections, [--requests M] closed-loop requests each) against an
-   inline and a sharded daemon, prints p50/p99 latency and throughput,
-   and records them to BENCH_pr6.json. It forks server processes, so it
-   runs before anything spawns a domain. --tech-only prints just the
+   connections, [--requests M] closed-loop requests each) against a
+   forked daemon, prints p50/p99 latency and throughput, and records
+   them to BENCH_pr6.json. It forks the server, so it runs before
+   anything spawns a domain. --tech-only prints just the
    technology-pack absolute-energy report table (both built-in packs
    over the mapped suite circuits) plus the service analyze-with-tech
    cold-vs-warm cache identity, and records them to BENCH_pr8.json.
@@ -51,8 +49,6 @@ let jobs =
 let scaling_only = Array.exists (( = ) "--scaling-only") Sys.argv
 
 let engines_only = Array.exists (( = ) "--engines-only") Sys.argv
-
-let service_only = Array.exists (( = ) "--service-only") Sys.argv
 
 let grids_only = Array.exists (( = ) "--grids-only") Sys.argv
 
@@ -1080,72 +1076,6 @@ let print_tech_report () =
   print_string "(written to BENCH_pr8.json)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Service: cold vs warm request latency.                               *)
-(* ------------------------------------------------------------------ *)
-
-(* One in-process evaluation service, cold-started, then the same
-   analyze request replayed against the warm response cache. The warm
-   reply must be the byte-identical line the cold evaluation produced;
-   the ratio is what keeping the daemon resident buys an interactive
-   client. *)
-let print_service_latency () =
-  let module Service = Nano_service.Service in
-  let config = { (Service.default_config ()) with Service.jobs } in
-  let t = Service.create ~config () in
-  let circuits = [ "c17"; "rca16"; "alu8"; "mult8" ] in
-  let warm_iters = 200 in
-  let entries =
-    List.map
-      (fun name ->
-        let line =
-          Printf.sprintf {|{"kind":"analyze","circuit":"%s"}|} name
-        in
-        let cold, cold_t = time (fun () -> Service.handle_line t line) in
-        let warm = ref "" in
-        let (), warm_total =
-          time (fun () ->
-              for _ = 1 to warm_iters do
-                warm := Service.handle_line t line
-              done)
-        in
-        let warm_t = warm_total /. float_of_int warm_iters in
-        (name, cold_t, warm_t, cold_t /. warm_t, cold = !warm))
-      circuits
-  in
-  Printf.printf "== Service: cold vs warm analyze latency (jobs=%d) ==\n" jobs;
-  print_string
-    (Report.Table.render
-       ~header:
-         [ "circuit"; "cold"; "warm"; "speedup"; "byte-identical" ]
-       ~rows:
-         (List.map
-            (fun (name, cold_t, warm_t, speedup, same) ->
-              [
-                name;
-                Printf.sprintf "%.2f ms" (1e3 *. cold_t);
-                Printf.sprintf "%.1f us" (1e6 *. warm_t);
-                Printf.sprintf "%.0fx" speedup;
-                string_of_bool same;
-              ])
-            entries));
-  let oc = open_out "BENCH_pr3.json" in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"service cold-vs-warm analyze\",\n  \"jobs\": \
-     %d,\n  \"warm_iters\": %d,\n  \"circuits\": [\n"
-    jobs warm_iters;
-  List.iteri
-    (fun i (name, cold_t, warm_t, speedup, same) ->
-      Printf.fprintf oc
-        "    {\"circuit\": \"%s\", \"cold_ms\": %.3f, \"warm_ms\": %.4f, \
-         \"speedup\": %.1f, \"byte_identical\": %b}%s\n"
-        name (1e3 *. cold_t) (1e3 *. warm_t) speedup same
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  print_string "(written to BENCH_pr3.json)\n"
-
-(* ------------------------------------------------------------------ *)
 (* Batched epsilon-grid engine vs per-point simulation.                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1400,7 +1330,7 @@ let load_request_line i =
   Printf.sprintf {|{"kind":"bounds","epsilon":%g}|}
     (0.001 +. (0.0005 *. float_of_int (i mod 64)))
 
-let fork_load_server ~workers ~max_clients =
+let fork_load_server ~max_clients =
   let module Service = Nano_service.Service in
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
@@ -1417,7 +1347,6 @@ let fork_load_server ~workers ~max_clients =
       {
         (Service.default_config ()) with
         Service.jobs = 1;
-        workers;
         max_clients;
         max_pending = 4096;
       }
@@ -1469,9 +1398,9 @@ let load_shutdown_server pid port =
   in
   reap 100
 
-let run_load_scenario ~name ~workers ~clients ~requests_per_client =
+let run_load ~clients ~requests_per_client =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let pid, port = fork_load_server ~workers ~max_clients:(clients + 8) in
+  let pid, port = fork_load_server ~max_clients:(clients + 8) in
   let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, port) in
   let conns =
     Array.init clients (fun lc_idx ->
@@ -1582,14 +1511,8 @@ let run_load_scenario ~name ~workers ~clients ~requests_per_client =
                  (Array.length samples - 1)
                  (int_of_float (p *. float_of_int (Array.length samples))))
   in
-  ( name,
-    workers,
-    !n_lat,
-    !errors,
-    wall,
-    float_of_int !n_lat /. wall,
-    1e3 *. pct 0.50,
-    1e3 *. pct 0.99 )
+  (!n_lat, !errors, wall, float_of_int !n_lat /. wall, 1e3 *. pct 0.50,
+   1e3 *. pct 0.99)
 
 let print_load () =
   let clients = load_clients and requests_per_client = load_requests in
@@ -1597,63 +1520,38 @@ let print_load () =
     "== Service load: %d concurrent TCP clients x %d closed-loop bounds \
      requests ==\n"
     clients requests_per_client;
-  let scenarios =
-    [
-      run_load_scenario ~name:"inline" ~workers:0 ~clients ~requests_per_client;
-      run_load_scenario ~name:"sharded" ~workers:2 ~clients
-        ~requests_per_client;
-    ]
+  let replies, errors, wall, rps, p50, p99 =
+    run_load ~clients ~requests_per_client
   in
   print_string
     (Report.Table.render
-       ~header:
-         [
-           "scenario"; "workers"; "replies"; "errors"; "wall"; "req/s";
-           "p50"; "p99";
-         ]
+       ~header:[ "replies"; "errors"; "wall"; "req/s"; "p50"; "p99" ]
        ~rows:
-         (List.map
-            (fun (name, workers, replies, errors, wall, rps, p50, p99) ->
-              [
-                name;
-                string_of_int workers;
-                string_of_int replies;
-                string_of_int errors;
-                Printf.sprintf "%.2f s" wall;
-                Printf.sprintf "%.0f" rps;
-                Printf.sprintf "%.2f ms" p50;
-                Printf.sprintf "%.2f ms" p99;
-              ])
-            scenarios));
+         [
+           [
+             string_of_int replies;
+             string_of_int errors;
+             Printf.sprintf "%.2f s" wall;
+             Printf.sprintf "%.0f" rps;
+             Printf.sprintf "%.2f ms" p50;
+             Printf.sprintf "%.2f ms" p99;
+           ];
+         ]);
   let oc = open_out "BENCH_pr6.json" in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"service tcp load\",\n  \"clients\": %d,\n\
-    \  \"requests_per_client\": %d,\n  \"scenarios\": [\n"
-    clients requests_per_client;
-  List.iteri
-    (fun i (name, workers, replies, errors, wall, rps, p50, p99) ->
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"workers\": %d, \"replies\": %d, \
-         \"errors\": %d, \"wall_s\": %.3f, \"throughput_rps\": %.1f, \
-         \"p50_ms\": %.3f, \"p99_ms\": %.3f}%s\n"
-        name workers replies errors wall rps p50 p99
-        (if i = List.length scenarios - 1 then "" else ","))
-    scenarios;
-  Printf.fprintf oc "  ]\n}\n";
+    \  \"requests_per_client\": %d,\n  \"replies\": %d,\n  \"errors\": \
+     %d,\n  \"wall_s\": %.3f,\n  \"throughput_rps\": %.1f,\n  \"p50_ms\": \
+     %.3f,\n  \"p99_ms\": %.3f\n}\n"
+    clients requests_per_client replies errors wall rps p50 p99;
   close_out oc;
   print_string "(written to BENCH_pr6.json)\n";
   (* A load run that shed or dropped anything is a failed run: the
      daemon is supposed to absorb this concurrency level. *)
-  if List.exists (fun (_, _, _, errors, _, _, _, _) -> errors > 0) scenarios
-  then (
+  if errors > 0 then (
     prerr_endline "load generator observed errors";
     exit 1);
-  if
-    List.exists
-      (fun (_, _, replies, _, _, _, _, _) ->
-        replies < clients * requests_per_client)
-      scenarios
-  then (
+  if replies < clients * requests_per_client then (
     prerr_endline "load generator lost replies";
     exit 1)
 
@@ -1818,9 +1716,6 @@ let () =
   if tech_only then (
     print_tech_report ();
     exit 0);
-  if service_only then (
-    print_service_latency ();
-    exit 0);
   if grids_only then (
     print_grid_throughput ();
     exit 0);
@@ -1891,8 +1786,6 @@ let () =
   print_parallel_scaling ();
   print_newline ();
   print_engine_throughput ();
-  print_newline ();
-  print_service_latency ();
   print_newline ();
   print_grid_throughput ();
   print_newline ();

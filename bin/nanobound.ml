@@ -1265,7 +1265,7 @@ let suite_cmd =
 
 let serve_cmd =
   let run socket tcp stdio jobs cache_size max_request_bytes timeout_ms trace
-      journal workers max_clients max_pending =
+      journal max_clients max_pending =
     let transports =
       (if socket <> None then 1 else 0)
       + (if tcp <> None then 1 else 0)
@@ -1276,10 +1276,6 @@ let serve_cmd =
         "error: --socket, --tcp and --stdio are mutually exclusive";
       exit 1
     end;
-    if stdio && workers > 0 then begin
-      prerr_endline "error: --workers requires a socket transport";
-      exit 1
-    end;
     let config =
       {
         Nano_service.Service.jobs;
@@ -1288,7 +1284,6 @@ let serve_cmd =
         default_timeout_ms = timeout_ms;
         trace;
         journal;
-        workers;
         max_clients;
         max_pending;
         max_reply_bytes = (Nano_service.Service.default_config ()).max_reply_bytes;
@@ -1355,16 +1350,7 @@ let serve_cmd =
              ~doc:"Persist the response cache to an append-only journal \
                    at $(docv); on restart its valid prefix is replayed \
                    (torn tails from a crash are truncated), so warm \
-                   replies survive the daemon. With --workers N, worker \
-                   $(i,i) persists to $(docv).shard$(i,i).")
-  in
-  let workers =
-    Arg.(value & opt int 0
-         & info [ "workers" ] ~docv:"N"
-             ~doc:"Pre-fork $(docv) evaluation worker processes and \
-                   shard requests over them by content address, so \
-                   repeated requests always hit the same warm cache. 0 \
-                   (default) evaluates in-process.")
+                   replies survive the daemon.")
   in
   let max_clients =
     Arg.(value & opt int 960
@@ -1383,7 +1369,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const run $ socket $ tcp $ stdio $ jobs_arg $ cache_size
-      $ max_request_bytes $ timeout_ms $ trace $ journal $ workers
+      $ max_request_bytes $ timeout_ms $ trace $ journal
       $ max_clients $ max_pending)
 
 (* ------------------------------------------------------------------ *)

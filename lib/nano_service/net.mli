@@ -32,8 +32,8 @@ val write_fd : Unix.file_descr -> Bytes.t -> int -> int -> [ `Wrote of int | `Ag
 val write_all : Unix.file_descr -> string -> bool
 (** Blocking write of the whole string, retrying [EINTR] and short
     writes. Returns [false] (instead of raising) when the peer is
-    gone. Only for blocking descriptors (worker pipes); the event
-    loop's client descriptors use {!write_fd} and buffers. *)
+    gone. Only for blocking descriptors, such as the {!Journal}'s file;
+    the event loop's client descriptors use {!write_fd} and buffers. *)
 
 val accept_ready :
   ?limit:int -> Unix.file_descr -> (Unix.file_descr * Unix.sockaddr) list

@@ -14,7 +14,6 @@ type config = {
   default_timeout_ms : int option;
   trace : bool;
   journal : string option;
-  workers : int;
   max_clients : int;
   max_pending : int;
   max_reply_bytes : int;
@@ -28,7 +27,6 @@ let default_config () =
     default_timeout_ms = None;
     trace = false;
     journal = None;
-    workers = 0;
     max_clients = 960;
     max_pending = 1024;
     max_reply_bytes = 64 * 1024 * 1024;
@@ -41,7 +39,7 @@ type t = {
   metrics : Service_metrics.t;
   journal : Journal.t option;
       (** on-disk backing of [responses]; [None] when persistence is
-          off or when this process only routes to workers *)
+          off *)
   mutable lint_hits : int;
       (** lint replies served from the response cache *)
   mutable lint_misses : int;  (** lint replies computed fresh *)
@@ -56,13 +54,11 @@ type t = {
 let create ?config () =
   let config = match config with Some c -> c | None -> default_config () in
   let responses = Cache.create ~capacity:config.cache_capacity in
-  (* A sharding master never evaluates, so it owns no journal; each
-     worker opens its own shard file instead (see [worker_main]). *)
   let journal =
-    match config.journal with
-    | Some path when config.workers = 0 ->
-      Some (Journal.load ~path (fun ~key ~value -> Cache.add responses key value))
-    | _ -> None
+    Option.map
+      (fun path ->
+        Journal.load ~path (fun ~key ~value -> Cache.add responses key value))
+      config.journal
   in
   {
     config;
@@ -651,16 +647,15 @@ let run_stdio t ic oc =
 
 (* ------------------------------------------------------------------ *)
 (* Socket transports: a nonblocking event loop over a Unix-domain or   *)
-(* TCP listener, with a minimal HTTP/1.1 POST front end and optional   *)
-(* pre-forked evaluation workers sharded by content address.           *)
+(* TCP listener, with a minimal HTTP/1.1 POST front end.               *)
 (* ------------------------------------------------------------------ *)
 
 (* A reply slot. One slot is queued per connection, in request-arrival
-   order, the moment a request is parsed off the wire; it is filled
-   whenever its evaluation finishes — possibly out of order relative
-   to other slots when a connection's requests shard to different
-   workers. Flushing only ever emits the filled prefix of the queue,
-   so reply order on the wire always matches request order. *)
+   order, the moment a request is parsed off the wire. Error slots
+   (overload, oversized, bad HTTP) are filled at once; evaluated ones
+   are filled when the round's batch finishes. Flushing only ever
+   emits the filled prefix of the queue, so reply order on the wire
+   always matches request order. *)
 type slot = {
   mutable body : string option;  (* reply line, no trailing newline *)
   mutable status : string;  (* HTTP status, used only on HTTP conns *)
@@ -699,84 +694,6 @@ let make_conn fd =
     dead = false;
   }
 
-(* One pre-forked evaluation worker. The master owns [wfd] (its end of
-   the socketpair, nonblocking); the child runs a private [run_stdio]
-   loop over the other end, with its own caches and journal shard. *)
-type worker = {
-  shard : int;
-  pid : int;
-  wfd : Unix.file_descr;
-  rbuf : Buffer.t;  (* partial reply line from the worker *)
-  woutq : string Queue.t;  (* request lines awaiting write *)
-  mutable wout_off : int;
-  inflight : (conn option * slot) Queue.t;
-      (* FIFO pairing requests sent with replies expected; [None] marks
-         a broadcast (shutdown) whose reply is discarded *)
-  mutable alive : bool;
-}
-
-let worker_main t shard fd =
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let config =
-    {
-      t.config with
-      workers = 0;
-      journal =
-        Option.map
-          (fun p -> Printf.sprintf "%s.shard%d" p shard)
-          t.config.journal;
-    }
-  in
-  let svc = create ~config () in
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
-  (try run_stdio svc ic oc with _ -> ());
-  (try close svc with _ -> ());
-  Unix._exit 0
-
-(* Fork the worker pool. Must run before any evaluation touches the
-   {!Par} domain pool: domains do not survive [fork], which is why the
-   master in sharded mode only routes and never evaluates. *)
-let spawn_workers t ~listen_fd =
-  let pairs =
-    Array.init t.config.workers (fun _ ->
-        Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0)
-  in
-  Array.mapi
-    (fun i (mfd, cfd) ->
-      match Unix.fork () with
-      | 0 ->
-        (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-        Array.iteri
-          (fun j (m, c) ->
-            (try Unix.close m with Unix.Unix_error _ -> ());
-            if j <> i then try Unix.close c with Unix.Unix_error _ -> ())
-          pairs;
-        worker_main t i cfd
-      | pid ->
-        (try Unix.close cfd with Unix.Unix_error _ -> ());
-        Unix.set_nonblock mfd;
-        {
-          shard = i;
-          pid;
-          wfd = mfd;
-          rbuf = Buffer.create 4096;
-          woutq = Queue.create ();
-          wout_off = 0;
-          inflight = Queue.create ();
-          alive = true;
-        })
-    pairs
-
-(* Stable shard choice from a content key: same key, same worker, same
-   warm cache — across requests and across daemon restarts. *)
-let shard_hash key n =
-  let d = Digest.string key in
-  let v =
-    (Char.code d.[0] lsl 16) lor (Char.code d.[1] lsl 8) lor Char.code d.[2]
-  in
-  v mod n
-
 let oversized_reply max_bytes =
   Protocol.error_reply ~code:"oversized"
     ~message:(Printf.sprintf "request exceeds %d bytes" max_bytes)
@@ -784,11 +701,7 @@ let oversized_reply max_bytes =
 let serve_listening t listen_fd =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   Unix.set_nonblock listen_fd;
-  let workers =
-    if t.config.workers <= 0 then [||] else spawn_workers t ~listen_fd
-  in
   let conns : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 97 in
-  let inflight = ref 0 in
   let chunk = Bytes.create 65536 in
 
   (* ---- output side ------------------------------------------------ *)
@@ -862,147 +775,15 @@ let serve_listening t listen_fd =
     s.status <- "503 Service Unavailable";
     s.body <- Some Protocol.overloaded_reply
   in
-  let shard_key_of_line line =
-    match Json.parse line with
-    | Error _ -> `Key line
-    | Ok json -> (
-      match Json.member "kind" json with
-      | Some (Json.String "shutdown") -> `Shutdown
-      | _ -> (
-        (* A named circuit routes by its name and a BLIF payload by an
-           MD5 of its text: the same request always reaches the same
-           worker cache. A name and a BLIF spelling of the same circuit
-           may land on different workers. *)
-        match (Json.member "circuit" json, Json.member "blif" json) with
-        | Some (Json.String name), _ -> `Key name
-        | _, Some (Json.String text) -> `Key (Digest.string text)
-        | _ -> `Key line))
-  in
-  let worker_enqueue w line = if w.alive then Queue.push (line ^ "\n") w.woutq in
-  let fail_worker_inflight w =
-    let reply =
-      Protocol.error_reply ~code:"internal_error"
-        ~message:(Printf.sprintf "evaluation worker %d died" w.shard)
-    in
-    while not (Queue.is_empty w.inflight) do
-      match Queue.pop w.inflight with
-      | None, _ -> ()
-      | Some c, slot ->
-        slot.status <- "500 Internal Server Error";
-        slot.body <- Some reply;
-        decr inflight;
-        flush_replies c
-    done
-  in
-  let kill_worker w =
-    if w.alive then begin
-      w.alive <- false;
-      (try Unix.close w.wfd with Unix.Unix_error _ -> ());
-      fail_worker_inflight w
-    end
-  in
-  let pump_worker w =
-    if w.alive then begin
-      let rec wr () =
-        match Queue.peek_opt w.woutq with
-        | None -> ()
-        | Some head -> (
-          let b = Bytes.unsafe_of_string head in
-          match
-            Net.write_fd w.wfd b w.wout_off (Bytes.length b - w.wout_off)
-          with
-          | `Wrote n ->
-            w.wout_off <- w.wout_off + n;
-            if w.wout_off = Bytes.length b then begin
-              ignore (Queue.pop w.woutq);
-              w.wout_off <- 0
-            end;
-            wr ()
-          | `Again -> ()
-          | `Closed -> kill_worker w)
-      in
-      wr ()
-    end
-  in
-  let worker_read w =
-    if w.alive then begin
-      let continue = ref true in
-      while !continue do
-        match Net.read_fd w.wfd chunk with
-        | `Data n ->
-          Buffer.add_subbytes w.rbuf chunk 0 n;
-          if n < Bytes.length chunk then continue := false
-        | `Again -> continue := false
-        | `Eof | `Closed ->
-          continue := false;
-          kill_worker w
-      done;
-      (* Split completed reply lines off the front of the buffer. *)
-      let data = Buffer.contents w.rbuf in
-      Buffer.clear w.rbuf;
-      let start = ref 0 in
-      (try
-         while true do
-           let nl = String.index_from data !start '\n' in
-           let line = String.sub data !start (nl - !start) in
-           start := nl + 1;
-           match Queue.pop w.inflight with
-           | exception Queue.Empty -> ()
-           | None, slot -> slot.body <- Some line
-           | Some c, slot ->
-             slot.body <- Some line;
-             decr inflight;
-             flush_replies c
-         done
-       with Not_found -> ());
-      Buffer.add_substring w.rbuf data !start (String.length data - !start)
-    end
-  in
-  let bye_reply = Protocol.ok_reply (Json.String "bye") in
-  let shutdown_broadcast () =
-    t.stop <- true;
-    Array.iter
-      (fun w ->
-        if w.alive then begin
-          worker_enqueue w "{\"kind\":\"shutdown\"}";
-          Queue.push (None, { body = None; status = "200 OK" }) w.inflight
-        end)
-      workers
-  in
-  let round_batch = ref [] in
-  (* inline mode: (slot, line), reversed *)
-  let dispatch c slot line =
-    if Array.length workers = 0 then
-      round_batch := (slot, line) :: !round_batch
-    else
-      match shard_key_of_line line with
-      | `Shutdown ->
-        (* The master answers itself — byte-identical to the inline
-           reply — and broadcasts so every worker flushes and exits. *)
-        slot.body <- Some bye_reply;
-        decr inflight;
-        shutdown_broadcast ()
-      | `Key key ->
-        let w = workers.(shard_hash key (Array.length workers)) in
-        if not w.alive then begin
-          slot.status <- "500 Internal Server Error";
-          slot.body <-
-            Some
-              (Protocol.error_reply ~code:"internal_error"
-                 ~message:"evaluation worker unavailable");
-          decr inflight
-        end
-        else begin
-          worker_enqueue w line;
-          Queue.push (Some c, slot) w.inflight
-        end
-  in
+  (* The requests admitted this round, as (slot, line) pairs in reverse
+     order, and their count. Every one is answered before the round
+     ends, so the count is also the daemon's in-flight total. *)
+  let round_batch = ref [] and pending = ref 0 in
   let emit_request c line =
-    if !inflight >= t.config.max_pending then reject_overloaded c
+    if !pending >= t.config.max_pending then reject_overloaded c
     else begin
-      incr inflight;
-      let slot = push_slot c in
-      dispatch c slot line
+      incr pending;
+      round_batch := (push_slot c, line) :: !round_batch
     end
   in
 
@@ -1057,24 +838,39 @@ let serve_listening t listen_fd =
     in
     go i0
   in
+  (* Content-Length is 1*DIGIT (RFC 9110 §8.6); [int_of_string] would
+     also take [0x10], [1_0] or [+5]. Values past [max_int] saturate,
+     so they fail the size check rather than wrap. Repeats must agree. *)
+  let digits_value v =
+    if v = "" || not (String.for_all (fun ch -> ch >= '0' && ch <= '9') v)
+    then None
+    else
+      Some
+        (String.fold_left
+           (fun n ch ->
+             let d = Char.code ch - Char.code '0' in
+             if n > (max_int - d) / 10 then max_int else (n * 10) + d)
+           0 v)
+  in
   let content_length headers =
     List.fold_left
       (fun acc line ->
-        match acc with
-        | Some _ -> acc
-        | None -> (
-          match String.index_opt line ':' with
-          | None -> None
-          | Some i ->
-            if
-              String.lowercase_ascii (String.trim (String.sub line 0 i))
-              = "content-length"
-            then
-              int_of_string_opt
-                (String.trim
-                   (String.sub line (i + 1) (String.length line - i - 1)))
-            else None))
-      None headers
+        match (acc, String.index_opt line ':') with
+        | `Invalid _, _ | _, None -> acc
+        | _, Some i
+          when String.lowercase_ascii (String.trim (String.sub line 0 i))
+               <> "content-length" ->
+          acc
+        | _, Some i -> (
+          let v =
+            String.trim (String.sub line (i + 1) (String.length line - i - 1))
+          in
+          match (acc, digits_value v) with
+          | _, None -> `Invalid "Content-Length must be decimal digits"
+          | `Absent, Some n -> `Length n
+          | `Length m, Some n when m = n -> acc
+          | _, Some _ -> `Invalid "conflicting Content-Length headers"))
+      `Absent headers
   in
   let parse_http c =
     let data = Buffer.contents c.inbuf in
@@ -1124,16 +920,19 @@ let serve_listening t listen_fd =
                   ~message:"only POST with a JSON request body is supported"
               else
                 match content_length headers with
-                | None ->
+                | `Absent ->
                   http_error c ~status:"411 Length Required"
                     ~code:"bad_request" ~message:"Content-Length is required"
-                | Some cl when cl < 0 || cl > t.config.max_request_bytes ->
+                | `Invalid message ->
+                  http_error c ~status:"400 Bad Request" ~code:"bad_request"
+                    ~message
+                | `Length cl when cl > t.config.max_request_bytes ->
                   http_error c ~status:"413 Content Too Large"
                     ~code:"oversized"
                     ~message:
                       (Printf.sprintf "request exceeds %d bytes"
                          t.config.max_request_bytes)
-                | Some cl -> c.http_phase <- H_body cl)))
+                | `Length cl -> c.http_phase <- H_body cl)))
         | H_body cl ->
           if len - !pos >= cl then begin
             let body = String.sub data !pos cl in
@@ -1207,36 +1006,22 @@ let serve_listening t listen_fd =
         if (not c.dead) && not (Queue.is_empty c.outq) then
           writes := fd :: !writes)
       conns;
-    Array.iter
-      (fun w ->
-        if w.alive then begin
-          reads := w.wfd :: !reads;
-          if not (Queue.is_empty w.woutq) then writes := w.wfd :: !writes
-        end)
-      workers;
     match Unix.select !reads !writes [] timeout with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [])
-    | r, w, _ -> (r, w)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+    | r, _, _ -> r
   in
   let one_round ~accepting ~timeout =
-    let ready_r, _ready_w = select_round ~accepting ~timeout in
+    let ready_r = select_round ~accepting ~timeout in
     if accepting && List.memq listen_fd ready_r then accept_new ();
-    round_batch := [];
     Hashtbl.iter (fun fd c -> if List.memq fd ready_r then conn_read c) conns;
-    (* Inline evaluation: one batch per readiness round, coalescing
-       duplicates, exactly like the single-process transports. *)
+    (* One batch per readiness round, coalescing duplicates. *)
     (match List.rev !round_batch with
     | [] -> ()
     | batch ->
       let replies = handle_batch t (List.map snd batch) in
-      List.iter2 (fun (slot, _) reply -> slot.body <- Some reply) batch replies;
-      inflight := !inflight - List.length batch);
+      List.iter2 (fun (slot, _) reply -> slot.body <- Some reply) batch replies);
     round_batch := [];
-    Array.iter
-      (fun w ->
-        if w.alive && List.memq w.wfd ready_r then worker_read w;
-        if w.alive then pump_worker w)
-      workers;
+    pending := 0;
     let to_close = ref [] in
     Hashtbl.iter
       (fun fd c ->
@@ -1265,8 +1050,8 @@ let serve_listening t listen_fd =
     end
   in
   main ();
-  (* Drain: flush filled replies and the shutdown broadcast, bounded so
-     a wedged peer cannot hold the daemon open forever. *)
+  (* Drain: flush filled replies, bounded so a wedged peer cannot hold
+     the daemon open forever. *)
   let pending_work () =
     let p = ref false in
     Hashtbl.iter
@@ -1276,13 +1061,6 @@ let serve_listening t listen_fd =
           && ((not (Queue.is_empty c.outq)) || not (Queue.is_empty c.replies))
         then p := true)
       conns;
-    Array.iter
-      (fun w ->
-        if
-          w.alive
-          && ((not (Queue.is_empty w.woutq)) || not (Queue.is_empty w.inflight))
-        then p := true)
-      workers;
     !p
   in
   let deadline = Unix.gettimeofday () +. 5.0 in
@@ -1291,34 +1069,7 @@ let serve_listening t listen_fd =
   done;
   Hashtbl.iter
     (fun _ c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-    conns;
-  Array.iter
-    (fun w ->
-      if w.alive then begin
-        w.alive <- false;
-        try Unix.close w.wfd with Unix.Unix_error _ -> ()
-      end)
-    workers;
-  Array.iter
-    (fun w ->
-      let rec reap tries =
-        match
-          Net.retry_intr (fun () -> Unix.waitpid [ Unix.WNOHANG ] w.pid)
-        with
-        | 0, _ ->
-          if tries = 0 then begin
-            (try Unix.kill w.pid Sys.sigkill with Unix.Unix_error _ -> ());
-            ignore (Net.retry_intr (fun () -> Unix.waitpid [] w.pid))
-          end
-          else begin
-            Net.sleep 0.05;
-            reap (tries - 1)
-          end
-        | _ -> ()
-        | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-      in
-      reap 40)
-    workers
+    conns
 
 let serve_unix t ~socket_path =
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in

@@ -13,9 +13,8 @@
     transports ({!run_stdio}, {!serve_unix}, {!serve_tcp},
     {!serve_listening}) are drivers over it. Replies are
     deterministic: a cached reply is the byte-identical line the cold
-    evaluation produced, at any [jobs] count, any [workers] count, on
-    any transport — and across daemon restarts when a journal is
-    configured.
+    evaluation produced, at any [jobs] count, on any transport — and
+    across daemon restarts when a journal is configured.
 
     Failure semantics: every per-request failure — unparseable JSON,
     unknown circuit, BLIF payload errors, invalid scenario, timeout,
@@ -44,16 +43,8 @@ type config = {
   journal : string option;
       (** Path of the append-only response-cache journal. Warm replies
           survive restarts: on boot the valid prefix is replayed into
-          the response cache and any torn tail is truncated. With
-          [workers > 0] each worker persists to [PATH.shardN] instead
-          (the master never evaluates). Default [None]. *)
-  workers : int;
-      (** Pre-forked evaluation worker processes. 0 (default) keeps
-          evaluation in-process. With N > 0 the socket transports fork
-          N workers up front and route each request to a worker chosen
-          by its content address, so repeated requests always land on
-          the same warm cache. Workers must be forked before any
-          evaluation has spawned {!Nano_util.Par} domains. *)
+          the response cache and any torn tail is truncated. Default
+          [None]. *)
   max_clients : int;
       (** Connection cap for the socket transports; connections beyond
           it are answered with the structured [overloaded] error and
@@ -74,10 +65,9 @@ val default_config : unit -> config
 type t
 
 val create : ?config:config -> unit -> t
-(** Create a service. When [config.journal] names a file (and
-    [workers = 0]), the journal is opened — created if absent — and
-    its valid prefix replayed into the response cache before the first
-    request runs. *)
+(** Create a service. When [config.journal] names a file, the journal
+    is opened — created if absent — and its valid prefix replayed into
+    the response cache before the first request runs. *)
 
 val close : t -> unit
 (** Close the journal handle, if any. Appends are flushed per record,
@@ -120,11 +110,11 @@ val serve_listening : t -> Unix.file_descr -> unit
       the first byte received.
     - Admission control: at most [max_pending] requests are in flight;
       excess requests get [overloaded] errors immediately.
-    - With [workers > 0], requests are routed to pre-forked worker
-      processes sharded by content address; replies to one connection
-      are re-sequenced into request order. A dead worker fails its
-      in-flight requests with [internal_error] replies and its shard
-      routes errors thereafter; the daemon itself stays up. *)
+    - Evaluation runs in this process: the requests read in one
+      readiness round go to {!handle_batch} together, so duplicates
+      coalesce, and each connection's replies are written in request
+      order. Parallelism inside a request comes from the
+      {!Nano_util.Par} domains ([jobs]). *)
 
 val serve_unix : t -> socket_path:string -> unit
 (** Bind a Unix-domain stream socket (replacing any stale file at the

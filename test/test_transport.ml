@@ -1,5 +1,5 @@
-(* The socket tier end to end: TCP transport, HTTP front end, worker
-   sharding, journal-backed restarts, admission control, and the
+(* The socket tier end to end: TCP transport, HTTP front end,
+   journal-backed restarts, admission control, and the
    syscall-level crash bugs (EINTR storms, mid-request disconnects,
    oversized pipelining) that used to kill daemon or client. Servers
    run as forked children over a pre-bound port-0 listener, so tests
@@ -11,12 +11,11 @@ module Protocol = Nano_service.Protocol
 module Net = Nano_service.Net
 module Json = Nano_util.Json
 
-let base_config ?(jobs = 1) ?(workers = 0) ?journal
-    ?(max_bytes = 8 * 1024 * 1024) ?(max_pending = 1024) () =
+let base_config ?(jobs = 1) ?journal ?(max_bytes = 8 * 1024 * 1024)
+    ?(max_pending = 1024) () =
   {
     (Service.default_config ()) with
     Service.jobs;
-    workers;
     journal;
     max_request_bytes = max_bytes;
     max_pending;
@@ -125,14 +124,10 @@ let count_newlines s =
 
 let lines_of s = String.split_on_char '\n' (String.trim s)
 
-(* Replies the single-process engine would give — the byte-identity
-   reference for every transport and worker topology. *)
+(* Replies the in-process engine would give — the byte-identity
+   reference for every transport. *)
 let reference_replies config requests =
-  let t =
-    Service.create
-      ~config:{ config with Service.workers = 0; journal = None }
-      ()
-  in
+  let t = Service.create ~config:{ config with Service.journal = None } () in
   List.map (Service.handle_line t) requests
 
 let identity_requests =
@@ -147,7 +142,8 @@ let identity_requests =
     {|{"kind":"bounds","epsilon":0.9}|};
   ]
 
-let check_identity ~config () =
+let test_tcp_byte_identity () =
+  let config = base_config () in
   let expected = reference_replies config identity_requests in
   with_server ~config (fun port ->
       let c = tcp_client port in
@@ -157,11 +153,6 @@ let check_identity ~config () =
           Alcotest.(check string) (Printf.sprintf "reply %d" i) e g)
         (List.combine expected got);
       shutdown c)
-
-let test_tcp_byte_identity () = check_identity ~config:(base_config ()) ()
-
-let test_workers_byte_identity () =
-  check_identity ~config:(base_config ~workers:2 ()) ()
 
 (* The member chain [result.journal.recovered] etc. out of a stats
    reply. *)
@@ -378,6 +369,33 @@ let test_http_post () =
       Alcotest.(check bool) "405 status" true
         (String.length reply >= 12 && String.sub reply 9 3 = "405");
       Unix.close fd;
+      (* Content-Length is 1*DIGIT and repeats must agree; anything else
+         draws a structured 400 bad_request and the daemon closes. *)
+      let bad_length headers =
+        let fd = raw_connect port in
+        send_raw fd
+          ("POST /api HTTP/1.1\r\nHost: localhost\r\n" ^ headers
+         ^ "\r\n{\"kind\":\"ping\"}");
+        let reply = recv_until fd (fun _ -> false) in
+        Unix.close fd;
+        let head, body = split_http_reply reply in
+        Alcotest.(check bool)
+          (headers ^ " -> 400") true
+          (String.length head >= 12 && String.sub head 9 3 = "400");
+        Alcotest.(check (option string))
+          (headers ^ " -> bad_request")
+          (Some "bad_request")
+          (match Json.parse body with
+          | Ok j -> (
+            match Option.bind (Json.member "error" j) (Json.member "code") with
+            | Some (Json.String code) -> Some code
+            | _ -> None)
+          | Error _ -> None)
+      in
+      bad_length "Content-Length: 0x10\r\n";
+      bad_length "Content-Length: +15\r\n";
+      bad_length "Content-Length: 1_5\r\n";
+      bad_length "Content-Length: 15\r\nContent-Length: 16\r\n";
       let c = tcp_client port in
       shutdown c)
 
@@ -512,8 +530,6 @@ let suite =
       test_net_write_all_under_storm;
     Alcotest.test_case "tcp replies byte-identical to in-process" `Quick
       test_tcp_byte_identity;
-    Alcotest.test_case "sharded workers byte-identical" `Quick
-      test_workers_byte_identity;
     Alcotest.test_case "journal survives daemon restart" `Quick
       test_journal_restart;
     Alcotest.test_case "daemon survives a SIGALRM storm" `Quick
