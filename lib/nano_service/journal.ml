@@ -83,7 +83,7 @@ let load ~path f =
   let total = Net.retry_intr (fun () -> Unix.lseek fd 0 Unix.SEEK_END) in
   let truncated = total - !good in
   if truncated > 0 then begin
-    Unix.ftruncate fd !good;
+    Net.retry_intr (fun () -> Unix.ftruncate fd !good);
     ignore (Net.retry_intr (fun () -> Unix.lseek fd !good Unix.SEEK_SET))
   end;
   {

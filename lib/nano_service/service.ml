@@ -32,8 +32,34 @@ let default_config () =
     max_reply_bytes = 64 * 1024 * 1024;
   }
 
+(* A circuit as every circuit-taking kind consumes it: the netlist, its
+   strash content address (the root of every cache key), and the two
+   derived products more than one kind needs — the rugged_lite mapping
+   and the default-options lint pre-flight — computed on first use. *)
+type elaboration = {
+  name : string;
+  netlist : Netlist.t;
+  digest : string;
+  mapped : Netlist.t Lazy.t;
+  preflight : Json.t option Lazy.t;
+}
+
+let elaborate_netlist ~name netlist =
+  let digest = Nano_synth.Strash.digest netlist in
+  {
+    name;
+    netlist;
+    digest;
+    mapped = lazy (Nano_synth.Script.rugged_lite ~max_fanin:3 netlist);
+    preflight = lazy (Lint.preflight_json (Lint.run_netlist ~digest netlist));
+  }
+
 type t = {
   config : config;
+  suite : (string, elaboration Lazy.t) Hashtbl.t;
+      (** one entry per built-in circuit, elaborated on first request
+          and shared by every later one; built once at {!create} and
+          never grown, and forced only on the serving domain *)
   responses : string Cache.t;  (** reply line per content-addressed key *)
   profiles : Profile.t Cache.t;  (** the expensive Monte-Carlo part *)
   metrics : Service_metrics.t;
@@ -60,8 +86,15 @@ let create ?config () =
         Journal.load ~path (fun ~key ~value -> Cache.add responses key value))
       config.journal
   in
+  let suite = Hashtbl.create 32 in
+  List.iter
+    (fun (e : Nano_circuits.Suite.entry) ->
+      Hashtbl.replace suite e.name
+        (lazy (elaborate_netlist ~name:e.name (e.build ()))))
+    Nano_circuits.Suite.all;
   {
     config;
+    suite;
     responses;
     profiles = Cache.create ~capacity:config.cache_capacity;
     metrics = Service_metrics.create ~now:(Unix.gettimeofday ());
@@ -91,10 +124,13 @@ let check_deadline = function
 (* Request evaluation.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let resolve_circuit = function
+(* Built-in circuits come from the per-daemon table: sharing one netlist
+   across requests is safe because finished netlists are immutable.
+   BLIF circuits get a fresh elaboration per request. *)
+let elaborate t = function
   | Protocol.Named name -> (
-    match Nano_circuits.Suite.find name with
-    | Some entry -> (name, entry.Nano_circuits.Suite.build ())
+    match Hashtbl.find_opt t.suite name with
+    | Some e -> Lazy.force e
     | None ->
       raise
         (Reply_error
@@ -102,12 +138,14 @@ let resolve_circuit = function
              name ^ ": not a built-in benchmark (see `nanobound suite')" )))
   | Protocol.Blif text -> (
     match Nano_blif.Blif.parse_string text with
-    | Ok netlist -> (Netlist.name netlist, netlist)
+    | Ok netlist -> elaborate_netlist ~name:(Netlist.name netlist) netlist
     | Error e ->
       raise
         (Reply_error
            ( "blif_parse_error",
              Format.asprintf "%a" Nano_blif.Blif.pp_error e )))
+
+let mapped_netlist e ~no_map = if no_map then e.netlist else Lazy.force e.mapped
 
 (* Technology-pack resolution: a name looks up a built-in, an inline
    object goes through the JSON loader. Both failure shapes are error
@@ -139,22 +177,20 @@ let resolve_tech = function
    Monte-Carlo activity + sensitivity measurement only depends on the
    strashed structure, so it is shared across requests — and across
    differing model names, which only relabel the result. *)
-let profile_for t ~deadline ~digest ~name ~no_map netlist =
-  let core_key = Printf.sprintf "profile-core|%s|%b" digest no_map in
+let profile_for t ~deadline ~no_map e =
+  let core_key = Printf.sprintf "profile-core|%s|%b" e.digest no_map in
   let profile =
     match Cache.find t.profiles core_key with
     | Some p -> p
     | None ->
       check_deadline deadline;
-      let mapped =
-        if no_map then netlist
-        else Nano_synth.Script.rugged_lite ~max_fanin:3 netlist
+      let p =
+        Profile.of_netlist ~jobs:t.config.jobs (mapped_netlist e ~no_map)
       in
-      let p = Profile.of_netlist ~jobs:t.config.jobs mapped in
       Cache.add t.profiles core_key p;
       p
   in
-  { profile with Profile.name = name }
+  { profile with Profile.name = e.name }
 
 let fr = Json.float_repr
 
@@ -162,9 +198,8 @@ let fr = Json.float_repr
    any mapping), attached to analyze/profile replies only when there
    is something to say — clean circuits keep byte-identical replies
    with earlier releases. *)
-let attach_preflight ~digest netlist json =
-  let report = Lint.run_netlist ~digest netlist in
-  match Lint.preflight_json report with
+let attach_preflight e json =
+  match Lazy.force e.preflight with
   | None -> json
   | Some pj -> (
     match json with
@@ -313,29 +348,26 @@ let prepare t ~deadline (env : Protocol.envelope) =
       run = (fun () -> Protocol.bounds_to_json (Metrics.evaluate scenario));
     }
   | Protocol.Profile { circuit; no_map } ->
-    let name, netlist = resolve_circuit circuit in
-    let digest = Nano_synth.Strash.digest netlist in
-    let key = Printf.sprintf "profile|%s|%s|%b" digest name no_map in
+    let e = elaborate t circuit in
+    let key = Printf.sprintf "profile|%s|%s|%b" e.digest e.name no_map in
     {
       key = Some key;
       run =
         (fun () ->
-          attach_preflight ~digest netlist
-            (Protocol.profile_to_json
-               (profile_for t ~deadline ~digest ~name ~no_map netlist)));
+          attach_preflight e
+            (Protocol.profile_to_json (profile_for t ~deadline ~no_map e)));
     }
   | Protocol.Analyze
       { circuit; delta; leakage_share0; epsilons; no_map; measure; vectors;
         tech } ->
-    let name, netlist = resolve_circuit circuit in
-    let digest = Nano_synth.Strash.digest netlist in
+    let e = elaborate t circuit in
     (* Resolved before the cache key so bad packs are error replies
        (never cached), and so named/inline spellings of one pack key
        on the same canonical digest. *)
     let tech = Option.map resolve_tech tech in
     let key =
-      Printf.sprintf "analyze|%s|%s|%b|%s|%s|%s|%b|%d%s" digest name no_map
-        (fr delta) (fr leakage_share0)
+      Printf.sprintf "analyze|%s|%s|%b|%s|%s|%s|%b|%d%s" e.digest e.name
+        no_map (fr delta) (fr leakage_share0)
         (String.concat "," (List.map fr epsilons))
         measure vectors
         (* Appended only when present: pre-tech requests keep their
@@ -348,38 +380,32 @@ let prepare t ~deadline (env : Protocol.envelope) =
       key = Some key;
       run =
         (fun () ->
-          let profile =
-            profile_for t ~deadline ~digest ~name ~no_map netlist
-          in
+          let profile = profile_for t ~deadline ~no_map e in
           check_deadline deadline;
-          let mapped () =
-            if no_map then netlist
-            else Nano_synth.Script.rugged_lite ~max_fanin:3 netlist
-          in
           (* The absolute-energy block rides after "rows"; replies
              without --tech carry no block at all and stay
              byte-identical to earlier releases. *)
-          let tech_fields mapped_net =
+          let tech_fields () =
             match tech with
             | None -> []
             | Some pack ->
               let report =
                 Nano_tech.Report.analyze ~delta ~epsilons ~pack ~profile
-                  mapped_net
+                  (mapped_netlist e ~no_map)
               in
               t.tech_reports <- t.tech_reports + 1;
               [ ("tech", Nano_tech.Report.to_json report) ]
           in
           if measure then begin
-            (* Mapped circuit re-derived the same way the cached profile
-               was; one batched multi-ε pass covers the whole grid, with
-               jobs sharding vectors inside it (jobs-independent). *)
-            let mapped = mapped () in
+            (* The same mapped circuit the profile was measured on; one
+               batched multi-ε pass covers the whole grid, with jobs
+               sharding vectors inside it (jobs-independent). *)
             let rows =
               Benchmark_eval.measured_grid ~deltas:[ delta ] ~leakage_share0
-                ~epsilons ~vectors ~jobs:t.config.jobs ~profile mapped
+                ~epsilons ~vectors ~jobs:t.config.jobs ~profile
+                (mapped_netlist e ~no_map)
             in
-            attach_preflight ~digest netlist
+            attach_preflight e
               (Json.Obj
                  ([
                     ("profile", Protocol.profile_to_json profile);
@@ -387,7 +413,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
                       Json.List (List.map Protocol.measured_row_to_json rows)
                     );
                   ]
-                 @ tech_fields mapped))
+                 @ tech_fields ()))
           end
           else begin
             (* The per-ε closed-form grid batches onto the domain pool;
@@ -399,16 +425,13 @@ let prepare t ~deadline (env : Protocol.envelope) =
                     profile ~epsilon)
                 epsilons
             in
-            let tech_fields =
-              match tech with None -> [] | Some _ -> tech_fields (mapped ())
-            in
-            attach_preflight ~digest netlist
+            attach_preflight e
               (Json.Obj
                  ([
                     ("profile", Protocol.profile_to_json profile);
                     ("rows", Json.List (List.map Protocol.row_to_json rows));
                   ]
-                 @ tech_fields))
+                 @ tech_fields ()))
           end);
     }
   | Protocol.Lint { circuit; max_fanin; epsilon; delta } ->
@@ -423,13 +446,13 @@ let prepare t ~deadline (env : Protocol.envelope) =
        reports here, never error replies. *)
     (match circuit with
     | Protocol.Named _ ->
-      let name, netlist = resolve_circuit circuit in
-      let digest = Nano_synth.Strash.digest netlist in
+      let e = elaborate t circuit in
       {
-        key = Some (Printf.sprintf "lint|net:%s|%s|%s" digest name params);
+        key = Some (Printf.sprintf "lint|net:%s|%s|%s" e.digest e.name params);
         run =
           (fun () ->
-            Lint.report_to_json (Lint.run_netlist ~options ~digest netlist));
+            Lint.report_to_json
+              (Lint.run_netlist ~options ~digest:e.digest e.netlist));
       }
     | Protocol.Blif text ->
       {
@@ -442,8 +465,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
       })
   | Protocol.Static { circuit; epsilon; input_probability; cone_budget; tech }
     ->
-    let name, netlist = resolve_circuit circuit in
-    let digest = Nano_synth.Strash.digest netlist in
+    let e = elaborate t circuit in
     (* Bad packs become error replies before any key exists (never
        cached); the effective ε is floored at the pack's intrinsic ε,
        matching both the tech report's bound rows and the CLI verb. *)
@@ -454,7 +476,7 @@ let prepare t ~deadline (env : Protocol.envelope) =
       | Some pack -> Float.max epsilon pack.Nano_tech.Pack.intrinsic_epsilon
     in
     let key =
-      Printf.sprintf "static|%s|%s|%s|%s|%d" digest name (fr epsilon)
+      Printf.sprintf "static|%s|%s|%s|%s|%d" e.digest e.name (fr epsilon)
         (fr input_probability) cone_budget
     in
     {
@@ -464,9 +486,9 @@ let prepare t ~deadline (env : Protocol.envelope) =
           check_deadline deadline;
           let analysis =
             Nano_static.Static.analyze ~input_probability ~cone_budget
-              ~epsilon netlist
+              ~epsilon e.netlist
           in
-          Nano_static.Static.to_json analysis netlist);
+          Nano_static.Static.to_json analysis e.netlist);
     }
   | Protocol.Sweep { figure } ->
     let key = Printf.sprintf "sweep|%s" figure in

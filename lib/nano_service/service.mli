@@ -2,10 +2,11 @@
 
     One service value holds the warm state worth keeping resident
     between requests: the content-addressed result caches (optionally
-    backed by an on-disk {!Journal}), the metrics registry, and
-    (transitively) the {!Nano_util.Par} domain pool and
-    {!Nano_netlist.Compiled} kernel memo that cold one-shot CLI runs
-    rebuild from scratch every time.
+    backed by an on-disk {!Journal}), the metrics registry, each
+    built-in circuit's netlist, digest, mapping and lint pre-flight
+    (elaborated on first request), and (transitively) the
+    {!Nano_util.Par} domain pool and {!Nano_netlist.Compiled} kernel
+    memo that cold one-shot CLI runs rebuild from scratch every time.
 
     Request handling is transport-independent: {!handle_line} maps one
     request line to one reply line, {!handle_batch} additionally

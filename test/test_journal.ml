@@ -75,6 +75,50 @@ let test_torn_tail () =
       Alcotest.(check int) "clean again" 0 (Journal.bytes_truncated j3);
       Journal.close j3)
 
+let test_torn_tail_under_signal_storm () =
+  (* Boot runs every syscall through an EINTR retry, so a signal
+     arriving while a torn journal is replayed and truncated is not a
+     boot failure. SIGALRM fires every 100 us throughout. *)
+  with_journal_file (fun path ->
+      let j, _ = replay path in
+      let value = String.make 4096 'v' in
+      for i = 1 to 64 do
+        Journal.append j ~key:(string_of_int i) ~value
+      done;
+      Journal.close j;
+      let whole = file_size path in
+      let previous =
+        Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> ()))
+      in
+      ignore
+        (Unix.setitimer Unix.ITIMER_REAL
+           { Unix.it_interval = 0.0001; Unix.it_value = 0.0001 });
+      Fun.protect
+        ~finally:(fun () ->
+          ignore
+            (Unix.setitimer Unix.ITIMER_REAL
+               { Unix.it_interval = 0.; Unix.it_value = 0. });
+          Sys.set_signal Sys.sigalrm previous)
+        (fun () ->
+          for round = 1 to 16 do
+            (* Tear the last surviving record, then boot on the file. *)
+            let size = file_size path in
+            let fd = Unix.openfile path [ Unix.O_RDWR ] 0o600 in
+            Unix.ftruncate fd (size - 7);
+            Unix.close fd;
+            let j2, seen = replay path in
+            Alcotest.(check int)
+              (Printf.sprintf "round %d: valid prefix" round)
+              (64 - round) (List.length seen);
+            Alcotest.(check bool)
+              (Printf.sprintf "round %d: tail truncated" round)
+              true
+              (Journal.bytes_truncated j2 > 0);
+            Journal.close j2
+          done);
+      Alcotest.(check bool) "file shrank to the prefix" true
+        (file_size path < whole))
+
 let test_corrupt_record () =
   with_journal_file (fun path ->
       let j, _ = replay path in
@@ -129,6 +173,8 @@ let suite =
   [
     Alcotest.test_case "roundtrip + replay order" `Quick test_roundtrip;
     Alcotest.test_case "torn tail recovery" `Quick test_torn_tail;
+    Alcotest.test_case "torn tail recovery under a signal storm" `Quick
+      test_torn_tail_under_signal_storm;
     Alcotest.test_case "corrupt record recovery" `Quick test_corrupt_record;
     Alcotest.test_case "garbage file recovery" `Quick test_garbage_file;
     Alcotest.test_case "oversized header rejected" `Quick

@@ -400,6 +400,184 @@ let test_shutdown_flag () =
   Alcotest.(check bool) "stopping" true (Service.shutdown_requested t)
 
 (* ------------------------------------------------------------------ *)
+(* Elaboration memo: built-in circuits are elaborated once per service. *)
+(* ------------------------------------------------------------------ *)
+
+(* Two structurally identical AND gates: the lint pre-flight warns, so
+   the reply carries a "lint" block. *)
+let duplicate_blif =
+  ".model dup\n.inputs a b c\n.outputs o\n.names a b t1\n11 1\n\
+   .names a b t2\n11 1\n.names t1 t2 c o\n111 1\n.end\n"
+
+let memo_lines =
+  [
+    {|{"kind":"analyze","circuit":"c17","epsilons":[0.01,0.05],"measure":true,"vectors":512}|};
+    {|{"kind":"analyze","circuit":"rca8","epsilons":[0.01],"tech":"cmos55"}|};
+    {|{"kind":"analyze","circuit":"rca8","epsilons":[0.01],"no_map":true}|};
+    (* alu8's pre-flight has warnings, so its reply has a "lint" block. *)
+    {|{"kind":"profile","circuit":"alu8"}|};
+    {|{"kind":"static","circuit":"rca8","epsilon":0.02}|};
+    {|{"kind":"static","circuit":"c17","epsilon":0.001,"tech":"nanodev"}|};
+    {|{"kind":"lint","circuit":"rca8"}|};
+  ]
+
+let test_warm_memo_replies_byte_identical () =
+  (* One response entry: every request below misses the response cache
+     (and nearly always the profile cache) while the elaboration table
+     stays warm, so each reply is computed from the shared elaboration
+     and must equal a cold service's bytes. *)
+  let warm = make_service ~cache:1 () in
+  List.iter (fun line -> ignore (Service.handle_line warm line)) memo_lines;
+  (* The BLIF request arrives only now, so it misses the profile cache
+     and one rugged_lite feeds both the profile and the tech report. *)
+  let blif_line =
+    Json.to_string
+      (Json.Obj
+         [
+           ("kind", Json.String "analyze");
+           ("blif", Json.String duplicate_blif);
+           ("epsilons", Json.List [ Json.Float 0.01 ]);
+           ("tech", Json.String "cmos55");
+         ])
+  in
+  List.iter
+    (fun line ->
+      let cold = Service.handle_line (make_service ~cache:1 ()) line in
+      Alcotest.(check bool) ("cold ok: " ^ line) true (reply_ok cold);
+      Alcotest.(check string) ("warm-memo bytes: " ^ line) cold
+        (Service.handle_line warm line))
+    (memo_lines @ [ blif_line ]);
+  let stats = stats_of_service warm in
+  Alcotest.(check int) "no response hits" 0
+    (cache_counter stats ~cache:"responses" ~field:"hits");
+  let has_preflight line =
+    match Json.parse (Service.handle_line warm line) with
+    | Ok v -> Option.bind (Json.member "result" v) (Json.member "lint") <> None
+    | Error _ -> false
+  in
+  Alcotest.(check bool) "named reply carries the pre-flight" true
+    (has_preflight {|{"kind":"profile","circuit":"alu8"}|});
+  Alcotest.(check bool) "BLIF reply carries the pre-flight" true
+    (has_preflight blif_line)
+
+let test_journal_keys_and_restart () =
+  let path = Filename.temp_file "nanobound-service" ".journal" in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+    (fun () ->
+      let journaled () =
+        Service.create
+          ~config:
+            {
+              (Service.default_config ()) with
+              Service.jobs = 1;
+              journal = Some path;
+            }
+          ()
+      in
+      let lines =
+        [
+          {|{"kind":"analyze","circuit":"mult16","epsilons":[0.01]}|};
+          {|{"kind":"profile","circuit":"mult16"}|};
+          {|{"kind":"static","circuit":"mult16","epsilon":0.02}|};
+          {|{"kind":"lint","circuit":"mult16"}|};
+        ]
+      in
+      let first = journaled () in
+      let replies = List.map (Service.handle_line first) lines in
+      Service.close first;
+      List.iter
+        (fun r -> Alcotest.(check bool) "first boot ok" true (reply_ok r))
+        replies;
+      let keys = ref [] in
+      Nano_service.Journal.close
+        (Nano_service.Journal.load ~path (fun ~key ~value:_ ->
+             keys := key :: !keys));
+      let digest = List.assoc "mult16" Test_digest.pinned in
+      List.iter
+        (fun prefix ->
+          let prefix = Printf.sprintf prefix digest in
+          Alcotest.(check bool) ("journal key " ^ prefix ^ "...") true
+            (List.exists
+               (fun k -> String.starts_with ~prefix k)
+               !keys))
+        [
+          "analyze|%s|mult16|";
+          "profile|%s|mult16|";
+          "static|%s|mult16|";
+          "lint|net:%s|mult16|";
+        ];
+      let second = journaled () in
+      Fun.protect
+        ~finally:(fun () -> Service.close second)
+        (fun () ->
+          List.iter2
+            (fun line reply ->
+              Alcotest.(check string) ("restart bytes: " ^ line) reply
+                (Service.handle_line second line))
+            lines replies;
+          let stats = stats_of_service second in
+          Alcotest.(check int) "all four are response hits" 4
+            (cache_counter stats ~cache:"responses" ~field:"hits");
+          Alcotest.(check int) "nothing recomputed" 0
+            (cache_counter stats ~cache:"responses" ~field:"misses")))
+
+let test_one_elaboration_per_name () =
+  let t = make_service () in
+  let measure grid =
+    Service.handle_line t
+      (Printf.sprintf
+         {|{"kind":"analyze","circuit":"rca8","epsilons":%s,"measure":true,"vectors":256}|}
+         grid)
+  in
+  Alcotest.(check bool) "first measure ok" true
+    (reply_ok (measure "[0.01,0.02]"));
+  let before = Nano_netlist.Compiled.memo_stats () in
+  Alcotest.(check bool) "second measure ok" true
+    (reply_ok (measure "[0.03,0.04]"));
+  let after = Nano_netlist.Compiled.memo_stats () in
+  (* A fresh ε grid misses the response cache; the compiled program of
+     the shared mapped netlist is reused rather than rebuilt. *)
+  Alcotest.(check bool) "compiled memo hit" true
+    (after.Nano_netlist.Compiled.memo_hits
+    > before.Nano_netlist.Compiled.memo_hits);
+  Alcotest.(check int) "no new compiled memo miss"
+    before.Nano_netlist.Compiled.memo_misses
+    after.Nano_netlist.Compiled.memo_misses;
+  (* The table holds the mapping beside the unmapped netlist: a no_map
+     request after a mapped one must still profile the unmapped gates. *)
+  let profile_size no_map =
+    match
+      Json.parse
+        (Service.handle_line t
+           (Printf.sprintf {|{"kind":"profile","circuit":"sec32","no_map":%b}|}
+              no_map))
+    with
+    | Ok v ->
+      Option.bind (Json.member "result" v) (fun r ->
+          Option.bind (Json.member "size" r) Json.to_int)
+    | Error _ -> None
+  in
+  let mapped_size = profile_size false in
+  let sec32 =
+    (Option.get (Nano_circuits.Suite.find "sec32")).Nano_circuits.Suite.build
+      ()
+  in
+  Alcotest.(check (option int)) "no_map profiles the unmapped netlist"
+    (Some (Nano_netlist.Netlist.size sec32))
+    (profile_size true);
+  Alcotest.(check bool) "mapping changes sec32's size" true
+    (mapped_size <> Some (Nano_netlist.Netlist.size sec32));
+  List.iter
+    (fun kind ->
+      Alcotest.(check (option string))
+        (kind ^ " on an unknown name") (Some "unknown_circuit")
+        (error_code
+           (Service.handle_line t
+              (Printf.sprintf {|{"kind":"%s","circuit":"nosuch"}|} kind))))
+    [ "analyze"; "profile"; "static"; "lint" ]
+
+(* ------------------------------------------------------------------ *)
 (* stdio transport.                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -486,6 +664,12 @@ let suite =
       test_error_then_service_still_up;
     Alcotest.test_case "batch coalescing" `Quick test_batch_coalescing;
     Alcotest.test_case "shutdown flag" `Quick test_shutdown_flag;
+    Alcotest.test_case "warm memo replies byte-identical" `Quick
+      test_warm_memo_replies_byte_identical;
+    Alcotest.test_case "journal keys and restart" `Quick
+      test_journal_keys_and_restart;
+    Alcotest.test_case "one elaboration per name" `Quick
+      test_one_elaboration_per_name;
     Alcotest.test_case "stdio transport" `Quick test_stdio_transport;
     Alcotest.test_case "stdio shutdown stops loop" `Quick
       test_stdio_shutdown_stops_loop;
