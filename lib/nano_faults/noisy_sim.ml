@@ -25,9 +25,8 @@ let noisy_node info =
 
 (* Interpretive clean evaluation, kept verbatim from the pre-compiled
    engine. The [`Interp] engine is the reference oracle: differential
-   tests and the bench's engine table compare the blocked kernel against
-   an implementation that shares nothing with it but the PRNG
-   stream. *)
+   tests compare the blocked kernel against an implementation that
+   shares nothing with it but the PRNG stream. *)
 let eval_words_interp netlist ~input_words ~values =
   List.iteri
     (fun i id -> values.(id) <- input_words.(i))

@@ -362,7 +362,9 @@ let analyze ?(input_probability = 0.5) ?(cone_budget = default_cone_budget)
   in
   {
     epsilon =
-      (if !eps_count = 0 then epsilon
+      (* A float-summed mean of a constant drifts off it in the last
+         bits, so the homogeneous case reports [epsilon] as given. *)
+      (if Option.is_none epsilon_of || !eps_count = 0 then epsilon
        else !eps_sum /. float_of_int !eps_count);
     input_probability;
     cone_budget;

@@ -24,7 +24,7 @@
       reverse sweep attenuating by [(1 - 2 ε)] per traversed channel —
       which seeds selective-redundancy voter-class assignments.
 
-    Soundness contract (the bench series checks it on every circuit):
+    Soundness contract (the tests check it on six suite circuits):
     each true probability lies inside its interval, so any Monte-Carlo
     estimate falling outside a static interval by more than sampling
     noise indicts the kernel, not the analysis. On fanout-free circuits
@@ -40,7 +40,7 @@ val width : interval -> float
 
 val contains : interval -> ?slack:float -> float -> bool
 (** [contains iv ~slack x] is [lo - slack <= x <= hi + slack]; [slack]
-    defaults to 0. The bench containment check widens by the
+    defaults to 0. The tests' containment checks widen by the
     Agresti–Coull half-width of the Monte-Carlo point. *)
 
 type node_result = {
@@ -56,7 +56,9 @@ type node_result = {
 }
 
 type t = {
-  epsilon : float;  (** Mean ε over logic gates (as in {!Nano_faults.Noisy_sim}). *)
+  epsilon : float;
+      (** The [epsilon] given, or with [epsilon_of] the mean ε over
+          logic gates (as in {!Nano_faults.Noisy_sim}). *)
   input_probability : float;
   cone_budget : int;
   nodes : node_result array;  (** Indexed by node id. *)

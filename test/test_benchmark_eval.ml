@@ -68,6 +68,31 @@ let test_leakage_share_matters () =
   in
   Alcotest.(check bool) "switching-only is larger" true (no_leak > with_leak)
 
+(* A 3x3 (eps x delta) measured grid from one batched pass must encode,
+   through the service protocol, to the same bytes as three single-eps
+   grids (which delegate to the per-point simulator). *)
+let test_measured_grid_batched_json () =
+  let circuit =
+    Nano_synth.Script.rugged_lite ~max_fanin:3 (Nano_circuits.Iscas_like.c17 ())
+  in
+  let profile = Profile.of_netlist circuit in
+  let epsilons = [ 0.001; 0.01; 0.05 ] and deltas = [ 0.01; 0.05; 0.1 ] in
+  let grid epsilons =
+    BE.measured_grid ~deltas ~epsilons ~vectors:2048 ~seed:42 ~profile circuit
+  in
+  let encode rows =
+    List.map
+      (fun r ->
+        Nano_util.Json.to_string (Nano_service.Protocol.measured_row_to_json r))
+      rows
+  in
+  let batched = grid epsilons in
+  Alcotest.(check int) "3x3 rows" 9 (List.length batched);
+  Alcotest.(check (list string))
+    "batched = per-eps JSON"
+    (encode (List.concat_map (fun e -> grid [ e ]) epsilons))
+    (encode batched)
+
 let suite =
   [
     Alcotest.test_case "paper constants" `Quick test_paper_constants;
@@ -76,4 +101,6 @@ let suite =
     Alcotest.test_case "figure 7 shape" `Quick test_figure7_shape;
     Alcotest.test_case "figure 8 shape" `Quick test_figure8_shape;
     Alcotest.test_case "leakage share matters" `Quick test_leakage_share_matters;
+    Alcotest.test_case "measured grid batched = per-eps JSON" `Quick
+      test_measured_grid_batched_json;
   ]

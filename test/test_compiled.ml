@@ -240,10 +240,12 @@ let test_engines_agree_heterogeneous () =
 
 (* The blocked engine must reproduce the interpretive reference bit for
    bit at every block width — including width 1, ragged tails (word
-   counts not a multiple of the block), biased input densities (the
-   stimulus stub) and every job count. 320 vectors = 5 words (ragged at
-   widths 4 and 8); 1088 vectors = 17 words (two full 8-blocks plus a
-   tail of one). *)
+   counts not a multiple of the block), biased input densities on both
+   sides of 1/2 (the stimulus stub) and every job count. 320 vectors = 5
+   words (ragged at widths 4 and 8); 1088 vectors = 17 words (two full
+   8-blocks plus a tail of one). The mapped suite circuits then run at
+   the default width, where jobs 1 and 4 must both equal the reference
+   (and so each other). *)
 let test_blocked_bit_identity () =
   let circuits =
     [
@@ -285,9 +287,34 @@ let test_blocked_bit_identity () =
                         reference blocked)
                     [ 1; 4 ])
                 [ 1; 4; 8 ])
-            [ (0.02, 0.5); (0.02, 0.1); (0.5, 0.5); (0.5, 0.1) ])
+            [
+              (0.02, 0.5); (0.02, 0.1); (0.02, 0.9); (0.5, 0.5); (0.5, 0.1);
+              (0.5, 0.9);
+            ])
         [ 320; 1088 ])
-    circuits
+    circuits;
+  List.iter
+    (fun name ->
+      let n =
+        Nano_synth.Script.rugged_lite ~max_fanin:3
+          ((Option.get (Nano_circuits.Suite.find name)).Nano_circuits.Suite
+             .build ())
+      in
+      List.iter
+        (fun input_probability ->
+          let simulate engine jobs =
+            Noisy_sim.simulate ~vectors:1088 ~input_probability ~jobs ~engine
+              ~epsilon:0.01 n
+          in
+          let reference = simulate `Interp 1 in
+          List.iter
+            (fun jobs ->
+              check_results_equal
+                (Printf.sprintf "%s p=%g jobs=%d" name input_probability jobs)
+                reference (simulate `Compiled jobs))
+            [ 1; 4 ])
+        [ 0.5; 0.1; 0.9 ])
+    [ "rca8"; "parity16"; "mult8"; "alu8" ]
 
 (* A netlist large enough that the lowering splits it into several
    level-aligned cache segments (192 KiB budget; roughly 80 bytes per

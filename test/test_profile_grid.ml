@@ -30,22 +30,35 @@ let check_result_equal msg (a : Noisy_sim.result) (b : Noisy_sim.result) =
 
 (* The batched kernel consumes the PRNG stream exactly like K per-point
    runs at the same seed: every lane — including ε = 0, which is never
-   simulated — must reproduce [simulate] bit for bit. *)
+   simulated — must reproduce [simulate] bit for bit. The mapped alu8
+   runs a 10-point grid on one domain and on four. *)
 let test_lane_identity () =
-  let netlist = rca8 () in
-  let epsilons = [| 0.; 0.001; 0.01; 0.05; 0.1 |] in
-  let grid =
-    Noisy_sim.profile_grid ~seed:11 ~vectors:4096 ~epsilons netlist
+  let check name netlist epsilons ~jobs =
+    let grid =
+      Noisy_sim.profile_grid ~seed:11 ~vectors:4096 ~jobs ~epsilons netlist
+    in
+    Alcotest.(check int) "parallel to epsilons" (Array.length epsilons)
+      (Array.length grid);
+    Array.iteri
+      (fun i epsilon ->
+        let point =
+          Noisy_sim.simulate ~seed:11 ~vectors:4096 ~jobs:1 ~epsilon netlist
+        in
+        check_result_equal
+          (Printf.sprintf "%s jobs=%d lane eps=%g" name jobs epsilon)
+          point grid.(i))
+      epsilons
   in
-  Alcotest.(check int) "parallel to epsilons" (Array.length epsilons)
-    (Array.length grid);
-  Array.iteri
-    (fun i epsilon ->
-      let point =
-        Noisy_sim.simulate ~seed:11 ~vectors:4096 ~epsilon netlist
-      in
-      check_result_equal (Printf.sprintf "lane eps=%g" epsilon) point grid.(i))
-    epsilons
+  check "rca8" (rca8 ()) [| 0.; 0.001; 0.01; 0.05; 0.1 |] ~jobs:1;
+  let alu8 =
+    Nano_synth.Script.rugged_lite ~max_fanin:3
+      ((Option.get (Nano_circuits.Suite.find "alu8")).Nano_circuits.Suite.build
+         ())
+  in
+  let epsilons =
+    [| 0.001; 0.002; 0.005; 0.01; 0.015; 0.02; 0.03; 0.05; 0.07; 0.1 |]
+  in
+  List.iter (fun jobs -> check "alu8" alu8 epsilons ~jobs) [ 1; 4 ]
 
 (* A single-point grid must short-circuit to the per-point engine. *)
 let test_single_point () =

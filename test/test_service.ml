@@ -334,7 +334,20 @@ let test_static_request () =
            Option.bind (Json.member field c) Json.to_int))
   in
   Alcotest.(check int) "one static hit" 1 (static_counter "hits");
-  Alcotest.(check int) "one static miss" 1 (static_counter "misses")
+  Alcotest.(check int) "one static miss" 1 (static_counter "misses");
+  (* The reply bytes echo the requested epsilon, not a float-summed
+     mean over the gates. *)
+  let reply =
+    Service.handle_line t {|{"kind":"static","circuit":"alu8","epsilon":0.01}|}
+  in
+  let key = {|"epsilon":|} in
+  let rec value_at i =
+    if String.sub reply i (String.length key) = key then
+      let start = i + String.length key in
+      String.sub reply start (String.index_from reply start ',' - start)
+    else value_at (i + 1)
+  in
+  Alcotest.(check string) "alu8 echoes epsilon" "0.01" (value_at 0)
 
 let test_static_tech_floor () =
   (* nanodev's intrinsic eps = 0.02 floors the requested 0.001: the
@@ -365,6 +378,27 @@ let test_static_tech_floor () =
     (error_code
        (Service.handle_line t
           {|{"kind":"static","circuit":"c17","tech":"nosuch"}|}))
+
+(* analyze with a technology pack: the warm reply comes from the
+   pack-digest-keyed response cache and must equal the cold one. *)
+let test_tech_cache_hit_byte_identical () =
+  let t = make_service () in
+  List.iteri
+    (fun i pack ->
+      let line =
+        Printf.sprintf {|{"kind":"analyze","circuit":"rca8","tech":"%s"}|} pack
+      in
+      let cold = Service.handle_line t line in
+      Alcotest.(check bool) (pack ^ " cold succeeds") true (reply_ok cold);
+      Alcotest.(check string)
+        (pack ^ " warm bytes = cold bytes")
+        cold (Service.handle_line t line);
+      let stats = stats_of_service t in
+      Alcotest.(check int) (pack ^ " response hit") (i + 1)
+        (cache_counter stats ~cache:"responses" ~field:"hits");
+      Alcotest.(check int) (pack ^ " response miss") (i + 1)
+        (cache_counter stats ~cache:"responses" ~field:"misses"))
+    [ "cmos55"; "nanodev" ]
 
 let test_error_then_service_still_up () =
   let t = make_service () in
@@ -660,6 +694,8 @@ let suite =
     Alcotest.test_case "static request cached + exact" `Quick
       test_static_request;
     Alcotest.test_case "static tech floor" `Quick test_static_tech_floor;
+    Alcotest.test_case "tech analyze cache hit byte-identical" `Quick
+      test_tech_cache_hit_byte_identical;
     Alcotest.test_case "daemon survives errors" `Quick
       test_error_then_service_still_up;
     Alcotest.test_case "batch coalescing" `Quick test_batch_coalescing;

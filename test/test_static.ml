@@ -181,6 +181,88 @@ let test_activity_contains_mc () =
       mc.Noisy_sim.average_gate_activity t.Static.average_gate_activity.Static.lo
       t.Static.average_gate_activity.Static.hi
 
+(* The suite circuits at one pinned draw (seed 0x5eed, 4096 vectors,
+   eps = 1%). Soundness: every per-output interval, widened by a z = 3
+   Agresti–Coull half-width (margin against this one fixed draw, not
+   repeated sampling), contains the MC estimate, and parity16's exact
+   points sit within one half-width of it. Tightness: the mean output
+   width and the count of vacuous outputs may not grow past the values
+   recorded here, so a tighter analyzer passes and a looser one fails. *)
+let test_suite_containment_and_tightness () =
+  let epsilon = 0.01 and vectors = 4096 and seed = 0x5eed in
+  let half_width ?(z = 3.) estimate =
+    let errors = int_of_float (Float.round (estimate *. float_of_int vectors)) in
+    ac_half_width ~z ~vectors ~errors ()
+  in
+  let mean f l =
+    List.fold_left (fun acc x -> acc +. f x) 0. l /. float_of_int (List.length l)
+  in
+  List.iter
+    (fun (name, recorded_width, recorded_vacuous) ->
+      let netlist =
+        (Option.get (Nano_circuits.Suite.find name)).Nano_circuits.Suite.build ()
+      in
+      let t = Static.analyze ~epsilon netlist in
+      let mc = Noisy_sim.simulate ~seed ~vectors ~epsilon netlist in
+      List.iter2
+        (fun (o, iv) (o', measured) ->
+          Alcotest.(check string) "output order" o o';
+          check_contains ~z:3. (name ^ " " ^ o) iv ~vectors measured;
+          if name = "parity16" then begin
+            Alcotest.(check bool) (o ^ " is a point") true (Static.is_point iv);
+            Helpers.check_in_range (o ^ " point within one half-width")
+              ~lo:(measured -. half_width measured)
+              ~hi:(measured +. half_width measured) iv.Static.lo
+          end)
+        t.Static.per_output_error mc.Noisy_sim.per_output_error;
+      let width = mean (fun (_, iv) -> Static.width iv) t.Static.per_output_error in
+      let vacuous =
+        List.length
+          (List.filter (fun (_, iv) -> Static.vacuous iv) t.Static.per_output_error)
+      in
+      Printf.printf
+        "%-9s static width %.4f (recorded %.4f)  vacuous %d (recorded %d)  \
+         MC 95%% CI width %.4f\n"
+        name width recorded_width vacuous recorded_vacuous
+        (mean (fun (_, e) -> 2. *. half_width ~z:1.96 e)
+           mc.Noisy_sim.per_output_error);
+      Helpers.check_in_range (name ^ " mean width") ~lo:0.
+        ~hi:(recorded_width +. 1e-3) width;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s vacuous %d <= %d" name vacuous recorded_vacuous)
+        true (vacuous <= recorded_vacuous))
+    [
+      ("c17", 0.0340, 0);
+      ("rca8", 0.0452, 0);
+      ("parity16", 0., 0);
+      ("intctl27", 0.5717, 5);
+      ("alu8", 0.8899, 10);
+      ("mult16", 0.8545, 28);
+    ]
+
+(* The reply echoes the epsilon it was given, not a float-summed mean
+   that drifts in the last bits; with [epsilon_of] it stays the mean. *)
+let test_reported_epsilon () =
+  List.iter
+    (fun name ->
+      let netlist =
+        (Option.get (Nano_circuits.Suite.find name)).Nano_circuits.Suite.build ()
+      in
+      Alcotest.(check (float 0.)) (name ^ " epsilon") 0.01
+        (Static.analyze ~epsilon:0.01 netlist).Static.epsilon)
+    [ "alu8"; "mult16" ];
+  let netlist = Nano_circuits.Adders.ripple_carry ~width:4 in
+  let epsilon_of id = if id mod 2 = 0 then 0.0 else 0.04 in
+  let gates = ref [] in
+  Netlist.iter netlist (fun id info ->
+      match info.Netlist.kind with
+      | Nano_netlist.Gate.Input | Nano_netlist.Gate.Const _
+      | Nano_netlist.Gate.Buf -> ()
+      | _ -> gates := epsilon_of id :: !gates);
+  Helpers.check_float "heterogeneous mean"
+    (List.fold_left ( +. ) 0. !gates /. float_of_int (List.length !gates))
+    (Static.analyze ~epsilon_of ~epsilon:0.01 netlist).Static.epsilon
+
 (* ------------------------------------------------------------------ *)
 (* Criticality ranking and diagnostics.                                *)
 (* ------------------------------------------------------------------ *)
@@ -274,6 +356,9 @@ let suite =
     Helpers.qcheck containment_property;
     Helpers.qcheck heterogeneous_containment_property;
     Alcotest.test_case "activity contains MC" `Slow test_activity_contains_mc;
+    Alcotest.test_case "suite containment and tightness" `Quick
+      test_suite_containment_and_tightness;
+    Alcotest.test_case "reported epsilon" `Quick test_reported_epsilon;
     Alcotest.test_case "ranking is logic gates only" `Quick
       test_ranking_logic_gates_only;
     Alcotest.test_case "criticality monotone in depth" `Quick

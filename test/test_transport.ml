@@ -24,11 +24,12 @@ let base_config ?(jobs = 1) ?journal ?(max_bytes = 8 * 1024 * 1024)
 (* Fork a daemon on a listener the parent already bound (port 0, so
    the kernel picks), hand the port to [f], then reap — escalating to
    SIGKILL only if shutdown never landed. *)
-let with_server ?(config = base_config ()) ?(signal_storm = false) f =
+let with_server ?(config = base_config ()) ?(signal_storm = false)
+    ?(backlog = 128) f =
   let listen_fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
   Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen listen_fd 128;
+  Unix.listen listen_fd backlog;
   let port =
     match Unix.getsockname listen_fd with
     | Unix.ADDR_INET (_, p) -> p
@@ -153,6 +154,37 @@ let test_tcp_byte_identity () =
           Alcotest.(check string) (Printf.sprintf "reply %d" i) e g)
         (List.combine expected got);
       shutdown c)
+
+(* A soak of the TCP tier: 200 concurrent clients each keep one bounds
+   request in flight for 10 rounds, rotating over 64 epsilons so the
+   first pass is cold and the rest hit the response cache. The listener
+   backlog covers every client, so connects never queue behind it. Every
+   reply must arrive, byte-equal to the in-process reply for its line. *)
+let test_concurrent_soak () =
+  let clients = 200 and rounds = 10 in
+  let line i =
+    Printf.sprintf {|{"kind":"bounds","epsilon":%g}|}
+      (0.001 +. (0.0005 *. float_of_int (i mod 64)))
+  in
+  let config = base_config () in
+  let expected = Array.of_list (reference_replies config (List.init 64 line)) in
+  with_server ~config ~backlog:clients (fun port ->
+      let fds = Array.init clients (fun _ -> raw_connect port) in
+      let replies = ref 0 in
+      for round = 0 to rounds - 1 do
+        Array.iteri (fun c fd -> send_raw fd (line ((c * 7) + round) ^ "\n")) fds;
+        Array.iteri
+          (fun c fd ->
+            Alcotest.(check string)
+              (Printf.sprintf "client %d round %d" c round)
+              expected.(((c * 7) + round) mod 64)
+              (String.trim (recv_until fd (fun s -> count_newlines s >= 1)));
+            incr replies)
+          fds
+      done;
+      Array.iter Unix.close fds;
+      Alcotest.(check int) "every reply arrived" (clients * rounds) !replies;
+      shutdown (tcp_client port))
 
 (* The member chain [result.journal.recovered] etc. out of a stats
    reply. *)
@@ -530,6 +562,8 @@ let suite =
       test_net_write_all_under_storm;
     Alcotest.test_case "tcp replies byte-identical to in-process" `Quick
       test_tcp_byte_identity;
+    Alcotest.test_case "200-client soak replies byte-identical" `Quick
+      test_concurrent_soak;
     Alcotest.test_case "journal survives daemon restart" `Quick
       test_journal_restart;
     Alcotest.test_case "daemon survives a SIGALRM storm" `Quick
